@@ -88,8 +88,14 @@ var goldenSeeds = []uint64{1, 7, 23, 1003, 90210}
 // only without per-cycle observers) is covered by the comparison.
 func runGoldenEngine(t *testing.T, e Engine, asm *Assembled, budget int64) ooo.Result {
 	t.Helper()
+	return runGoldenEngineOn(t, config.Skylake(), e, asm, budget)
+}
+
+// runGoldenEngineOn is runGoldenEngine on an arbitrary core configuration.
+func runGoldenEngineOn(t *testing.T, cfg config.Core, e Engine, asm *Assembled, budget int64) ooo.Result {
+	t.Helper()
 	scheme := e.NewScheme(asm)
-	c := ooo.NewWithMemory(config.Skylake(), asm.Insts,
+	c := ooo.NewWithMemory(cfg, asm.Insts,
 		bpu.NewTAGE(bpu.DefaultTAGEConfig()), scheme, asm.Mem.Clone())
 	res, err := c.Run(budget)
 	if err != nil {
@@ -98,16 +104,46 @@ func runGoldenEngine(t *testing.T, e Engine, asm *Assembled, budget int64) ooo.R
 	return res
 }
 
+// goldenPasses are the core configurations TestGoldenTiming pins, each
+// against its own snapshot. The skylake pass is the default machine. The
+// issue2 pass narrows the issue stage to 2 per cycle (1 store, 2 loads), so
+// the width and port limits cut the issue scan off on most cycles: it pins
+// which entries a cut-off scan still reaches, including the per-cycle
+// gated-body stall counts that feed the acb-throttle engine's StallThrottle.
+var goldenPasses = []struct {
+	name string
+	file string
+	cfg  func() config.Core
+}{
+	{"skylake", "timing.json", config.Skylake},
+	{"issue2", "timing_issue2.json", func() config.Core {
+		c := config.Skylake()
+		c.Name = "skylake-issue2"
+		c.IssueWidth = 2
+		return c
+	}},
+}
+
 // TestGoldenTiming locks the cycle-accurate behaviour of all 9 default
 // matrix engines against snapshots captured from the pre-optimization
-// (seed) engine. Regenerate with `go test ./internal/difftest/ -run
-// TestGoldenTiming -update` — but only when a simulator *model* change
-// intentionally alters timing; pure performance work must keep this green
-// untouched.
+// (seed) engine. Regenerate one pass with `go test ./internal/difftest/
+// -run TestGoldenTiming/<pass> -update` — but only when a simulator *model*
+// change intentionally alters timing; pure performance work must keep this
+// green untouched.
 func TestGoldenTiming(t *testing.T) {
-	// Lives in a subdirectory so LoadCorpusDir's *.json glob (the corpus
-	// replay test) does not pick it up.
-	path := filepath.Join("testdata", "golden", "timing.json")
+	for _, pass := range goldenPasses {
+		t.Run(pass.name, func(t *testing.T) {
+			// Lives in a subdirectory so LoadCorpusDir's *.json glob (the
+			// corpus replay test) does not pick it up.
+			checkGoldenTiming(t, filepath.Join("testdata", "golden", pass.file), pass.cfg())
+		})
+	}
+}
+
+// checkGoldenTiming runs every golden seed under every matrix engine on cfg
+// and compares the results with the snapshot at path (or rewrites it under
+// -update).
+func checkGoldenTiming(t *testing.T, path string, cfg config.Core) {
 	var got []goldenProg
 	for _, seed := range goldenSeeds {
 		p := Generate(seed, DefaultGenConfig())
@@ -124,7 +160,7 @@ func TestGoldenTiming(t *testing.T) {
 		}
 		gp := goldenProg{Seed: seed}
 		for _, e := range DefaultMatrix() {
-			res := runGoldenEngine(t, e, asm, steps+64)
+			res := runGoldenEngineOn(t, cfg, e, asm, steps+64)
 			gp.Runs = append(gp.Runs, goldenFromResult(e.Name, res))
 		}
 		got = append(got, gp)
