@@ -13,9 +13,9 @@ import (
 
 // TestSteadyStateAllocationFree asserts the cycle loop's central perf
 // invariant: after warmup, the per-cycle machinery allocates nothing.
-// Every scratch structure (fetch ring, completion calendar, IQ, LSQ seq
-// lists, select queue, stall scratch) must reach steady-state capacity
-// during the warmup budget and be reused thereafter.
+// Every scratch structure (fetch ring, completion calendar, issue-queue
+// waiter lists, LSQ seq lists, select queue) must reach steady-state
+// capacity during the warmup budget and be reused thereafter.
 //
 // Method: run each Fig. 6 workload for a warmup budget (all growth
 // happens here — ring/slice capacity, per-PC stat entries, TAGE tables),
@@ -25,10 +25,14 @@ import (
 // Two tiers:
 //   - baseline engines exercise the pure cycle loop and must stay under
 //     1 alloc per kilocycle (runtime background noise sets the floor);
-//   - ACB engines additionally pay per-predication-instance bookkeeping
-//     (a ctxState, an oracle snapshot + writes map, true-path scratch) —
+//   - ACB engines additionally pay per-predication-instance bookkeeping —
 //     event allocations attributable to instructions, not cycles — so
-//     they are bounded per opened instance instead.
+//     they are bounded per retired instance instead. The oracle snapshot
+//     is an undo-log position and the true-path scratch is reused, so
+//     what remains is one ctxState per context opened at fetch. Contexts
+//     opened on the wrong path are squashed without retiring, which is
+//     why the worst row (leela, 4.6 mallocs per retired instance) pays
+//     several per instance.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement; skipped in -short")
@@ -37,7 +41,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 		warmup      = 60_000  // retired instructions before measuring
 		measured    = 120_000 // total budget; the second half is measured
 		maxPerKCyc  = 1.0     // allocs per 1000 simulated cycles (cycle loop)
-		maxPerInst  = 30.0    // allocs per predication instance (ACB bookkeeping)
+		maxPerInst  = 5.0     // allocs per predication instance (ACB bookkeeping)
 		maxAbsolute = 200     // absolute slack for runtime background noise
 	)
 	for _, w := range workload.All() {

@@ -178,6 +178,7 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 		branchSeq: -1,
 		wrongPath: c.onWrongPath,
 		tok:       c.newTok(),
+		reconHint: -1,
 	}
 	fi.role = RolePredBranch
 	fi.ctx = ctx
@@ -195,18 +196,25 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 			ctx:  ctx,
 			regs: c.oracle.Regs,
 			pc:   c.oracle.PC,
-			mem:  c.oracleMem.SnapshotWrites(),
+			mark: c.oracleMem.Snapshot(),
 		})
 		ctx.trueKnown = true
 		ctx.trueTaken = trueTaken
 		c.oracle.Step(c.prog) // the branch itself
+		c.truePath = c.truePath[:0]
 		steps := 0
 		for c.oracle.PC != spec.ReconPC {
 			if steps >= spec.MaxBody || c.prog[c.oracle.PC].Op == isa.Halt {
 				ctx.scanFailed = true
 				break
 			}
-			ctx.truePath = append(ctx.truePath, c.oracle.PC)
+			// Multiple-reconvergence feedback for a divergence flush: the
+			// first correct-path PC beyond the learned reconvergence point
+			// is where this instance actually re-joined (program order).
+			if ctx.reconHint < 0 && c.oracle.PC > spec.ReconPC {
+				ctx.reconHint = c.oracle.PC
+			}
+			c.truePath = append(c.truePath, c.oracle.PC)
 			c.oracle.Step(c.prog)
 			steps++
 		}
@@ -287,8 +295,8 @@ func (c *Core) fetchCtxSlot() (consumed, stop bool) {
 	if onTrue {
 		// Follow the recorded architecturally-correct path.
 		c.ctxTrueIdx++
-		if c.ctxTrueIdx < len(ctx.truePath) {
-			next = ctx.truePath[c.ctxTrueIdx]
+		if c.ctxTrueIdx < len(c.truePath) {
+			next = c.truePath[c.ctxTrueIdx]
 		} else {
 			next = recon
 		}
@@ -334,6 +342,7 @@ func (c *Core) closeCtx(ctx *ctxState) {
 		return
 	}
 	ctx.closed = true
+	c.wakeClosed(ctx)
 	c.pendingClose = ctx
 	c.ctx = nil
 	c.ctxPhase = 0
@@ -352,6 +361,7 @@ func (c *Core) closeCtx(ctx *ctxState) {
 func (c *Core) divergeCtx(ctx *ctxState, resumePC int) {
 	ctx.diverged = true
 	ctx.closed = true // the stalled branch may now schedule (divergence identifier)
+	c.wakeClosed(ctx)
 	if c.dbgRing != nil {
 		c.dbgLog("divergeCtx ctx%d resume=%d", ctx.id, resumePC)
 	}

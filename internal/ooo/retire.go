@@ -115,7 +115,8 @@ func (c *Core) retireBranch(e *robEntry) {
 			st.Diverged++
 		}
 		// Drop this context's oracle snapshot (divergence already removed
-		// it) and commit the oracle overlay when no contexts remain open.
+		// it): commit the oracle overlay when no snapshot remains, else
+		// reclaim the undo log below the next-oldest one.
 		if len(c.snapshots) > 0 && c.snapshots[0].ctx == ctx {
 			// Shift down rather than reslicing the base forward: snapshots[1:]
 			// would strand capacity behind the new base and force the next
@@ -123,8 +124,10 @@ func (c *Core) retireBranch(e *robEntry) {
 			n := copy(c.snapshots, c.snapshots[1:])
 			c.snapshots[n] = oracleSnap{}
 			c.snapshots = c.snapshots[:n]
-			if len(c.snapshots) == 0 {
+			if n == 0 {
 				c.oracleMem.Commit()
+			} else {
+				c.oracleMem.Trim(c.snapshots[0].mark)
 			}
 		}
 		c.pruneLiveCtx(ctx)
