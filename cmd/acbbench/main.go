@@ -2,14 +2,20 @@
 // Fig. 6 workload sweep and writes a machine-readable snapshot
 // (BENCH_cycleloop.json at the repository root). The committed snapshot is
 // the performance baseline; CI's perf-gate job re-measures and compares
-// with -compare, failing on a normalized-throughput regression or on
-// allocation growth in the cycle loop.
+// with -compare, failing on a normalized-throughput regression, on
+// allocation growth in the cycle loop, or on any change in simulated
+// timing.
 //
-// Raw cycles/sec is hardware-dependent, so every run also times a fixed
-// pure-Go calibration loop (refScore). The gated quantity is
-// cycles/sec ÷ refScore — simulated cycles per unit of local compute —
-// which transfers across machines of different speeds. Allocations per
-// simulated cycle are hardware-independent and gated strictly.
+// Raw rates are hardware-dependent, so every run also times a fixed
+// pure-Go calibration loop (refScore) and divides by it, which transfers
+// across machines of different speeds. Three throughput geomeans are
+// gated: cycles/sec over both schemes, and retired instructions/sec for
+// each scheme on its own — ACB retires more work per simulated cycle, and
+// a per-scheme gate keeps a gain on one scheme from hiding a loss on the
+// other. Allocations per simulated cycle are hardware-independent and
+// gated strictly. Simulated cycles and retired instructions are
+// deterministic, so every row must reproduce the snapshot exactly: a
+// performance change that moves them is a timing change.
 //
 // Usage:
 //
@@ -53,6 +59,8 @@ type WorkloadRow struct {
 	WallSec       float64 `json:"wall_sec"`
 	CyclesPerSec  float64 `json:"cycles_per_sec"`
 	Normalized    float64 `json:"normalized_cps"` // cycles_per_sec / ref_score
+	InstrPerSec   float64 `json:"instr_per_sec"`  // retired / wall_sec
+	NormalizedIPS float64 `json:"normalized_ips"` // instr_per_sec / ref_score
 	Mallocs       uint64  `json:"mallocs"`
 	AllocsPerKCyc float64 `json:"allocs_per_kcycle"`
 }
@@ -60,10 +68,15 @@ type WorkloadRow struct {
 // GeomeanSummary aggregates the gated quantities.
 type GeomeanSummary struct {
 	NormalizedCPS float64 `json:"normalized_cps"`
-	AllocsPerKCyc float64 `json:"allocs_per_kcycle"` // arithmetic mean (zeros are legal)
+	// NormalizedIPS is the geomean of normalized_ips per scheme.
+	NormalizedIPS map[string]float64 `json:"normalized_ips"`
+	AllocsPerKCyc float64            `json:"allocs_per_kcycle"` // arithmetic mean (zeros are legal)
 }
 
-// throughputTolerance is the allowed fractional drop in normalized
+// schemes are the engines measured per workload.
+var schemes = []string{"baseline", "acb"}
+
+// throughputTolerance is the allowed fractional drop in each normalized
 // geomean throughput before the gate fails.
 const throughputTolerance = 0.10
 
@@ -101,6 +114,9 @@ func main() {
 
 	fmt.Printf("ref_score %.3g/s   geomean normalized %.4g   allocs/kcycle %.3f\n",
 		snap.RefScore, snap.Geomean.NormalizedCPS, snap.Geomean.AllocsPerKCyc)
+	for _, sch := range schemes {
+		fmt.Printf("  %-8s normalized instr/s geomean %.4g\n", sch, snap.Geomean.NormalizedIPS[sch])
+	}
 
 	if *compare != "" {
 		base, err := load(*compare)
@@ -151,8 +167,8 @@ func measure(budget int64, repeat int) (*Snapshot, error) {
 		Budget:    budget,
 		RefScore:  refScore(),
 	}
-	schemes := []string{"baseline", "acb"}
 	var normalized, allocs []float64
+	ips := map[string][]float64{}
 	for _, w := range workload.All() {
 		for _, sch := range schemes {
 			row, err := measureOne(&w, sch, budget, repeat)
@@ -160,12 +176,18 @@ func measure(budget int64, repeat int) (*Snapshot, error) {
 				return nil, fmt.Errorf("%s/%s: %w", w.Name, sch, err)
 			}
 			row.Normalized = row.CyclesPerSec / snap.RefScore
+			row.NormalizedIPS = row.InstrPerSec / snap.RefScore
 			snap.Rows = append(snap.Rows, *row)
 			normalized = append(normalized, row.Normalized)
+			ips[sch] = append(ips[sch], row.NormalizedIPS)
 			allocs = append(allocs, row.AllocsPerKCyc)
 		}
 	}
 	snap.Geomean.NormalizedCPS = stats.Geomean(normalized)
+	snap.Geomean.NormalizedIPS = map[string]float64{}
+	for _, sch := range schemes {
+		snap.Geomean.NormalizedIPS[sch] = stats.Geomean(ips[sch])
+	}
 	var sum float64
 	for _, a := range allocs {
 		sum += a
@@ -213,6 +235,7 @@ func measureOne(w *workload.Workload, sch string, budget int64, repeat int) (*Wo
 		row.Retired = res.Retired
 	}
 	row.CyclesPerSec = float64(row.Cycles) / row.WallSec
+	row.InstrPerSec = float64(row.Retired) / row.WallSec
 	row.AllocsPerKCyc = float64(row.Mallocs) / float64(row.Cycles) * 1000
 	return row, nil
 }
@@ -230,9 +253,9 @@ func load(path string) (*Snapshot, error) {
 }
 
 // gate compares the fresh measurement against the committed baseline and
-// reports whether it passes. Throughput is compared via the
-// hardware-normalized geomean; allocations per kilocycle are compared
-// per (workload, scheme) row.
+// reports whether it passes. Throughput is compared via hardware-normalized
+// geomeans; simulated timing and allocations per kilocycle are compared per
+// (workload, scheme) row.
 func gate(base, cur *Snapshot) bool {
 	ok := true
 	if base.Budget != cur.Budget {
@@ -241,15 +264,9 @@ func gate(base, cur *Snapshot) bool {
 		return false
 	}
 
-	floor := base.Geomean.NormalizedCPS * (1 - throughputTolerance)
-	if cur.Geomean.NormalizedCPS < floor {
-		fmt.Fprintf(os.Stderr,
-			"perf gate: FAIL normalized throughput geomean %.4g < %.4g (baseline %.4g - %d%%)\n",
-			cur.Geomean.NormalizedCPS, floor, base.Geomean.NormalizedCPS, int(throughputTolerance*100))
-		ok = false
-	} else {
-		fmt.Printf("throughput: normalized geomean %.4g vs baseline %.4g (floor %.4g) ok\n",
-			cur.Geomean.NormalizedCPS, base.Geomean.NormalizedCPS, floor)
+	ok = gateThroughput("cycles/sec", base.Geomean.NormalizedCPS, cur.Geomean.NormalizedCPS) && ok
+	for _, sch := range schemes {
+		ok = gateThroughput(sch+" instr/sec", base.Geomean.NormalizedIPS[sch], cur.Geomean.NormalizedIPS[sch]) && ok
 	}
 
 	baseRows := map[string]WorkloadRow{}
@@ -264,12 +281,18 @@ func gate(base, cur *Snapshot) bool {
 		curRows[k] = r
 	}
 	sort.Strings(keys)
+	timingOK := true
 	for _, k := range keys {
 		b, found := baseRows[k]
 		if !found {
 			continue // new workload: no baseline yet
 		}
 		c := curRows[k]
+		if c.Cycles != b.Cycles || c.Retired != b.Retired {
+			fmt.Fprintf(os.Stderr, "perf gate: FAIL %s simulated %d cycles / %d retired, baseline %d / %d\n",
+				k, c.Cycles, c.Retired, b.Cycles, b.Retired)
+			timingOK = false
+		}
 		limit := b.AllocsPerKCyc*(1+allocSlackFrac) + allocSlackAbs
 		if c.AllocsPerKCyc > limit {
 			fmt.Fprintf(os.Stderr, "perf gate: FAIL %s allocs/kcycle %.3f > %.3f (baseline %.3f)\n",
@@ -277,9 +300,27 @@ func gate(base, cur *Snapshot) bool {
 			ok = false
 		}
 	}
+	if timingOK {
+		fmt.Printf("timing: all %d rows simulate the baseline's cycles and retired instructions\n", len(keys))
+	}
 	if ok {
 		fmt.Printf("allocations: all %d rows within %.0f%%+%.1f of baseline\n",
 			len(keys), allocSlackFrac*100, allocSlackAbs)
 	}
-	return ok
+	return ok && timingOK
+}
+
+// gateThroughput checks one normalized throughput geomean against its
+// baseline, allowing a throughputTolerance drop. A baseline without the
+// metric (zero) fails: the snapshot predates the gate and needs a refresh.
+func gateThroughput(what string, base, cur float64) bool {
+	floor := base * (1 - throughputTolerance)
+	if base <= 0 || cur < floor {
+		fmt.Fprintf(os.Stderr, "perf gate: FAIL normalized %s geomean %.4g < %.4g (baseline %.4g - %d%%)\n",
+			what, cur, floor, base, int(throughputTolerance*100))
+		return false
+	}
+	fmt.Printf("throughput: normalized %s geomean %.4g vs baseline %.4g (floor %.4g) ok\n",
+		what, cur, base, floor)
+	return true
 }
