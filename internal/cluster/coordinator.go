@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"acb/internal/experiments"
 	"acb/internal/service"
 	"acb/internal/stats"
 )
@@ -123,20 +122,12 @@ type member struct {
 	fails int
 }
 
-// cjob is one cluster job. All fields are guarded by the coordinator's
-// mutex except id/key/req, which are immutable after creation.
+// cjob is the coordinator's job-table entry: the shared job lifecycle
+// plus the worker-side handle. Guarded by the coordinator's mutex.
 type cjob struct {
-	id  string
-	key string
-	req service.Request
-
-	state    service.JobState
-	worker   string // current assignment ("" = unassigned)
-	remoteID string // job ID on that worker
-	assigns  int    // workers this job has been sent to
-	stolen   int    // reassignments via work stealing
+	service.Job
+	remoteID string // job ID on the assigned worker
 	cancel   bool   // client requested cancellation
-	cacheHit bool
 	// remoteDone marks a job the worker reports finished whose result
 	// the coordinator has not yet replicated. The job goes terminal only
 	// once the replica lands (done ⇒ result durable at the coordinator);
@@ -144,23 +135,13 @@ type cjob struct {
 	// done-but-unfetchable.
 	remoteDone bool
 	fetchTries int
-	err        string
-	errKind    string
-	cpi        map[string]experiments.CPITotals
-
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	done     chan struct{}
 }
 
-// JobStatus is a cluster job snapshot: the single-node status shape
-// (so `acbd submit -wait` and every existing client work unchanged
-// against a coordinator) plus placement fields.
+// JobStatus is a coordinator job snapshot as clients decode it: the
+// single-node status shape, whose worker and stolen fields only a
+// coordinator sets.
 type JobStatus struct {
 	service.JobStatus
-	Worker string `json:"worker,omitempty"`
-	Stolen int    `json:"stolen,omitempty"`
 }
 
 // Coordinator owns cluster state: fleet liveness, the live-member ring,
@@ -168,6 +149,8 @@ type JobStatus struct {
 // dispatch/reconcile/steal/probe transitions, so those never race each
 // other; client-facing methods only read or flag state under the mutex.
 type Coordinator struct {
+	*service.JobTable[*cjob]
+
 	cfg     Config
 	client  *Client
 	store   *service.Store
@@ -176,14 +159,10 @@ type Coordinator struct {
 
 	counters *stats.Counters
 
-	mu       sync.Mutex
-	fenced   bool // a higher-epoch coordinator exists; stand down
-	members  map[string]*member
-	ring     *Ring // live members only; rebuilt on liveness change
-	jobs     map[string]*cjob
-	byKey    map[string]*cjob // non-terminal jobs by result key (dedup)
-	order    []string
-	terminal int
+	mu      sync.Mutex
+	fenced  bool // a higher-epoch coordinator exists; stand down
+	members map[string]*member
+	ring    *Ring // live members only; rebuilt on liveness change
 
 	// completedOn remembers which worker finished each key, so the
 	// results proxy asks the shard that actually has it first — the ring
@@ -191,7 +170,6 @@ type Coordinator struct {
 	completedOn  map[string]string
 	completedLog []string
 
-	nextID int64
 	closed bool
 	probed bool // first probe round done (readyz gate)
 
@@ -218,12 +196,13 @@ func New(cfg Config, store *service.Store) (*Coordinator, error) {
 		epoch:       cfg.Epoch,
 		counters:    stats.NewCounters(),
 		members:     make(map[string]*member),
-		jobs:        make(map[string]*cjob),
-		byKey:       make(map[string]*cjob),
 		completedOn: make(map[string]string),
 		kick:        make(chan struct{}, 1),
 		stopCh:      make(chan struct{}),
 	}
+	// A coordinator publishes a result key only once the job is done:
+	// before that the result is not yet replicated to it.
+	c.JobTable = service.NewJobTable[*cjob](&c.mu, coordOwner{c}, c.counters, "c", cfg.RetainJobs, true)
 	for _, m := range cfg.Workers {
 		if m.Name == "" || m.URL == "" {
 			return nil, fmt.Errorf("cluster: worker needs name and url, got %+v", m)
@@ -275,51 +254,31 @@ func (c *Coordinator) onStaleEpoch(higher uint64) {
 // — observing the result of work that kept running through the
 // coordinator outage — instead of blindly re-running it.
 func (c *Coordinator) restoreReplay(replay []ReplayedJob) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
 	for _, rj := range replay {
-		var n int64
-		if _, err := fmt.Sscanf(rj.ID, "c%d", &n); err == nil && n > c.nextID {
-			c.nextID = n
-		}
-		job := &cjob{
-			id:       rj.ID,
-			key:      rj.Key,
-			req:      rj.Request,
-			worker:   rj.Worker,
-			remoteID: rj.RemoteID,
-			assigns:  rj.Assigns,
-			stolen:   rj.Stolen,
-			state:    service.JobQueued,
-			created:  now,
-			done:     make(chan struct{}),
-		}
-		c.jobs[job.id] = job
-		c.order = append(c.order, job.id)
-		c.counters.Add("replayed", 1)
-		switch {
-		case terminalState(rj.State):
-			job.state = rj.State
-			job.err, job.errKind = rj.Err, rj.ErrKind
-			job.finished = now
-			close(job.done)
-			c.terminal++
+		job := &cjob{remoteID: rj.RemoteID}
+		job.JobStatus = service.JobStatus{ID: rj.ID, State: service.JobQueued, Request: rj.Request,
+			ResultKey: rj.Key, Worker: rj.Worker, Attempts: rj.Assigns, Stolen: rj.Stolen, Created: now}
+		if rj.State.Terminal() {
+			job.State, job.Error, job.ErrorKind, job.Finished = rj.State, rj.Err, rj.ErrKind, &now
 			if rj.State == service.JobDone && rj.Worker != "" {
 				c.noteCompletedLocked(rj.Key, rj.Worker)
 			}
-		default:
-			if _, cached := c.store.GetLocal(rj.Key); cached {
-				// The result landed before the crash; the journal just
-				// missed the terminal record. Close it out, durably.
-				job.worker, job.remoteID = "", ""
-				c.byKey[job.key] = job
-				c.counters.Add("cache_hits", 1)
-				c.finishLocked(job, service.JobDone, "", "")
-				continue
-			}
-			c.byKey[job.key] = job
+		}
+		c.RestoreLocked(job)
+		if rj.State.Terminal() {
+			continue
+		}
+		if _, cached := c.store.GetLocal(rj.Key); cached {
+			// The result landed before the crash; the journal just
+			// missed the terminal record. Close it out, durably.
+			job.Worker, job.remoteID = "", ""
+			c.counters.Add("cache_hits", 1)
+			c.FinishLocked(job, service.JobDone, "", "")
 		}
 	}
-	c.evictLocked()
 }
 
 // jlog counts a failed journal append. The append already happened (or
@@ -428,11 +387,11 @@ func (c *Coordinator) Members() []MemberStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	assigned := make(map[string]int)
-	for _, job := range c.jobs {
-		if !terminalState(job.state) && job.worker != "" {
-			assigned[job.worker]++
+	c.EachLocked(func(job *cjob) {
+		if !job.State.Terminal() && job.Worker != "" {
+			assigned[job.Worker]++
 		}
-	}
+	})
 	out := make([]MemberStatus, 0, len(c.members))
 	for _, m := range c.members {
 		out = append(out, MemberStatus{Name: m.name, URL: m.url, Alive: m.alive, Jobs: assigned[m.name]})
@@ -441,73 +400,64 @@ func (c *Coordinator) Members() []MemberStatus {
 	return out
 }
 
-func terminalState(st service.JobState) bool {
-	return st == service.JobDone || st == service.JobFailed || st == service.JobCancelled
+// coordOwner is the coordinator's part of its job table. Submission has
+// the single-node contract (see service.JobTable.Submit), with
+// QueueDepth bounding the cluster's non-terminal jobs. Every submission,
+// completion and cache hit is journaled before the lock is released, so
+// no client observes a transition the journal lacks.
+type coordOwner struct{ c *Coordinator }
+
+func (o coordOwner) NewEntry(j service.Job) *cjob { return &cjob{Job: j} }
+
+func (o coordOwner) Refuse() error {
+	if o.c.closed || o.c.fenced {
+		return service.ErrShuttingDown
+	}
+	return nil
 }
 
-// Submit schedules req on the cluster. Same contract as the single-node
-// scheduler: (status, created, error), dedup by content-address against
-// in-flight jobs, immediate terminal job on a coordinator-cache hit,
-// service.ErrQueueFull past QueueDepth.
-//
-// The cache probe is local-only (memory + disk): fresh work must not
-// pay a fleet-wide round of peer RPCs per submission. A key some worker
-// has cached anyway dedups remotely — the worker answers its dispatch
-// with an instant done.
-func (c *Coordinator) Submit(req service.Request) (JobStatus, bool, error) {
-	key, err := req.Key() // validates and canonicalizes
-	if err != nil {
-		return JobStatus{}, false, err
-	}
-	_, cached := c.store.GetLocal(key)
+// Cached probes the coordinator's local tiers only (memory + disk):
+// fresh work must not pay a fleet-wide round of peer RPCs per
+// submission. A key some worker has cached anyway dedups remotely — the
+// worker answers its dispatch with an instant done.
+func (o coordOwner) Cached(key string) bool {
+	_, ok := o.c.store.GetLocal(key)
+	return ok
+}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed || c.fenced {
-		return JobStatus{}, false, service.ErrShuttingDown
+func (o coordOwner) Enqueue(*cjob) error {
+	if o.c.ActiveLocked() >= o.c.cfg.QueueDepth {
+		return service.ErrQueueFull
 	}
-	if prior := c.byKey[key]; prior != nil {
-		c.counters.Add("deduped", 1)
-		return c.statusLocked(prior), false, nil
-	}
+	return nil
+}
 
-	job := &cjob{
-		id:      fmt.Sprintf("c%06d", c.nextID+1),
-		key:     key,
-		req:     req,
-		created: time.Now(),
-		done:    make(chan struct{}),
+func (o coordOwner) Admitted(job *cjob) {
+	c := o.c
+	c.jlog(c.journal.Submit(job.ID, job.ResultKey, job.Request))
+	if job.CacheHit {
+		c.jlog(c.journal.Terminal(job.ID, service.JobDone, "", ""))
+		return
 	}
-	if cached {
-		c.nextID++
-		c.counters.Add("submitted", 1)
-		c.counters.Add("cache_hits", 1)
-		c.jlog(c.journal.Submit(job.id, key, req))
-		c.jlog(c.journal.Terminal(job.id, service.JobDone, "", ""))
-		job.state = service.JobDone
-		job.cacheHit = true
-		job.finished = job.created
-		close(job.done)
-		c.jobs[job.id] = job
-		c.order = append(c.order, job.id)
-		c.terminal++
-		c.evictLocked()
-		return c.statusLocked(job), true, nil
-	}
-	if len(c.jobs)-c.terminal >= c.cfg.QueueDepth {
-		return JobStatus{}, false, service.ErrQueueFull
-	}
-	c.nextID++
-	c.counters.Add("submitted", 1)
-	c.jlog(c.journal.Submit(job.id, key, req))
-	job.state = service.JobQueued
-	c.jobs[job.id] = job
-	c.byKey[key] = job
-	c.order = append(c.order, job.id)
-	c.evictLocked()
 	c.kickLocked()
-	c.cfg.Logf("cluster: %s queued: %s key=%.12s", job.id, req.Experiment, key)
-	return c.statusLocked(job), true, nil
+	c.cfg.Logf("cluster: %s queued: %s key=%.12s", job.ID, job.Request.Experiment, job.ResultKey)
+}
+
+// Finished journals the terminal record; the job's placement fields stay
+// for post-mortem status. A crash before the record lands replays the
+// job as still in flight — at-least-once journaling, made exactly-once
+// by content-addressing.
+func (o coordOwner) Finished(job *cjob) {
+	c := o.c
+	c.jlog(c.journal.Terminal(job.ID, job.State, job.Error, job.ErrorKind))
+	switch job.State {
+	case service.JobDone:
+		c.counters.Add("completed", 1)
+	case service.JobFailed:
+		c.counters.Add("failed", 1)
+	case service.JobCancelled:
+		c.counters.Add("cancelled", 1)
+	}
 }
 
 // kickLocked nudges the control loop to dispatch soon.
@@ -518,74 +468,22 @@ func (c *Coordinator) kickLocked() {
 	}
 }
 
-// Job returns the identified job's snapshot.
-func (c *Coordinator) Job(id string) (JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[id]
-	if !ok {
-		return JobStatus{}, service.ErrUnknownJob
-	}
-	return c.statusLocked(job), nil
-}
-
-// Jobs lists every retained job in submission order.
-func (c *Coordinator) Jobs() []JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.statusLocked(c.jobs[id]))
-	}
-	return out
-}
-
-// JobCounts returns jobs per lifecycle state.
-func (c *Coordinator) JobCounts() map[service.JobState]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[service.JobState]int, len(service.States))
-	for _, st := range service.States {
-		out[st] = 0
-	}
-	for _, job := range c.jobs {
-		out[job.state]++
-	}
-	return out
-}
-
-// Wait blocks until the job is terminal or ctx is done.
-func (c *Coordinator) Wait(ctx context.Context, id string) (JobStatus, error) {
-	c.mu.Lock()
-	job, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		return JobStatus{}, service.ErrUnknownJob
-	}
-	select {
-	case <-job.done:
-		return c.Job(id)
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-}
-
 // Cancel requests cancellation: unassigned queued jobs cancel on the
 // spot; assigned jobs get a best-effort remote DELETE now and are
 // re-DELETEd by the reconcile loop until the worker confirms, so a
 // partition during cancel cannot resurrect the job.
-func (c *Coordinator) Cancel(id string) (JobStatus, error) {
+func (c *Coordinator) Cancel(id string) (service.JobStatus, error) {
 	c.mu.Lock()
-	job, ok := c.jobs[id]
+	job, ok := c.LookupLocked(id)
 	if !ok {
 		c.mu.Unlock()
-		return JobStatus{}, service.ErrUnknownJob
+		return service.JobStatus{}, service.ErrUnknownJob
 	}
 	job.cancel = true
-	if !terminalState(job.state) && job.worker == "" {
-		c.finishLocked(job, service.JobCancelled, "cancelled while queued", "")
+	if job.Worker == "" {
+		c.FinishLocked(job, service.JobCancelled, "cancelled while queued", "")
 	}
-	worker, remoteID := job.worker, job.remoteID
+	worker, remoteID := job.Worker, job.remoteID
 	var url string
 	if m := c.members[worker]; m != nil {
 		url = m.url
@@ -599,7 +497,7 @@ func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 		cancel()
 		if err == nil {
 			c.mu.Lock()
-			if job.worker == worker && job.remoteID == remoteID {
+			if job.Worker == worker && job.remoteID == remoteID {
 				c.applyRemoteLocked(job, rst)
 			}
 			c.mu.Unlock()
@@ -608,87 +506,6 @@ func (c *Coordinator) Cancel(id string) (JobStatus, error) {
 		}
 	}
 	return c.Job(id)
-}
-
-// statusLocked snapshots a job.
-func (c *Coordinator) statusLocked(job *cjob) JobStatus {
-	st := JobStatus{
-		JobStatus: service.JobStatus{
-			ID:         job.id,
-			State:      job.state,
-			Experiment: job.req.Experiment,
-			Request:    job.req,
-			CacheHit:   job.cacheHit,
-			Error:      job.err,
-			ErrorKind:  job.errKind,
-			Attempts:   job.assigns,
-			Created:    job.created,
-			CPI:        job.cpi,
-		},
-		Worker: job.worker,
-		Stolen: job.stolen,
-	}
-	if job.state == service.JobDone {
-		st.ResultKey = job.key
-	}
-	if !job.started.IsZero() {
-		t := job.started
-		st.Started = &t
-	}
-	if !job.finished.IsZero() {
-		t := job.finished
-		st.Finished = &t
-	}
-	return st
-}
-
-// finishLocked moves a job to a terminal state exactly once. The
-// terminal record hits the journal before the transition takes effect,
-// so a crash between the two replays the job as still in flight —
-// at-least-once journaling, made exactly-once by content-addressing.
-func (c *Coordinator) finishLocked(job *cjob, state service.JobState, errMsg, errKind string) {
-	if terminalState(job.state) {
-		return
-	}
-	c.jlog(c.journal.Terminal(job.id, state, errMsg, errKind))
-	job.state = state
-	job.err = errMsg
-	job.errKind = errKind
-	job.finished = time.Now()
-	delete(c.byKey, job.key) // placement fields stay for post-mortem status
-
-	c.terminal++
-	close(job.done)
-	switch state {
-	case service.JobDone:
-		c.counters.Add("completed", 1)
-	case service.JobFailed:
-		c.counters.Add("failed", 1)
-	case service.JobCancelled:
-		c.counters.Add("cancelled", 1)
-	}
-	c.evictLocked()
-}
-
-// evictLocked drops the oldest terminal jobs beyond RetainJobs.
-func (c *Coordinator) evictLocked() {
-	for c.terminal > c.cfg.RetainJobs {
-		evicted := false
-		for i, id := range c.order {
-			job := c.jobs[id]
-			if !terminalState(job.state) {
-				continue
-			}
-			delete(c.jobs, id)
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			c.terminal--
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
-		}
-	}
 }
 
 // noteCompletedLocked records which worker holds a finished key.
@@ -708,55 +525,52 @@ func (c *Coordinator) noteCompletedLocked(key, worker string) {
 // out-of-band DELETE straight to the worker) requeue the job rather
 // than losing it.
 func (c *Coordinator) applyRemoteLocked(job *cjob, rst service.JobStatus) {
-	if terminalState(job.state) {
+	if job.State.Terminal() {
 		return
 	}
 	switch rst.State {
 	case service.JobQueued:
-		job.state = service.JobQueued
+		job.State = service.JobQueued
 	case service.JobRunning:
-		job.state = service.JobRunning
-		if job.started.IsZero() {
-			if rst.Started != nil {
-				job.started = *rst.Started
-			} else {
-				job.started = time.Now()
-			}
+		job.State = service.JobRunning
+		if job.Started == nil {
+			job.Started = rst.Started
 		}
 	case service.JobDone:
 		if job.remoteDone {
 			return // already awaiting replication
 		}
-		job.cpi = rst.CPI
+		job.CPI = rst.CPI
 		job.remoteDone = true
 		job.fetchTries = 0
-		c.noteCompletedLocked(job.key, job.worker)
+		c.noteCompletedLocked(job.ResultKey, job.Worker)
 		// Not terminal yet: warmResults finishes the job once the result
 		// is replicated. Running (not queued) so it can't be stolen or
 		// re-dispatched meanwhile.
-		job.state = service.JobRunning
-		if job.started.IsZero() {
-			job.started = time.Now()
-		}
+		job.State = service.JobRunning
 	case service.JobFailed:
-		c.finishLocked(job, service.JobFailed, rst.Error, rst.ErrorKind)
+		c.FinishLocked(job, service.JobFailed, rst.Error, rst.ErrorKind)
 	case service.JobCancelled:
 		if job.cancel {
-			c.finishLocked(job, service.JobCancelled, "cancelled", "")
+			c.FinishLocked(job, service.JobCancelled, "cancelled", "")
 			return
 		}
 		c.unassignLocked(job)
 		c.counters.Add("requeued_cancelled", 1)
 	}
+	if job.State == service.JobRunning && job.Started == nil {
+		now := time.Now()
+		job.Started = &now
+	}
 }
 
 // unassignLocked returns an assigned job to the dispatchable pool.
 func (c *Coordinator) unassignLocked(job *cjob) {
-	if job.worker != "" {
-		c.jlog(c.journal.Unassign(job.id))
+	if job.Worker != "" {
+		c.jlog(c.journal.Unassign(job.ID))
 	}
-	job.worker, job.remoteID = "", ""
-	job.state = service.JobQueued
+	job.Worker, job.remoteID = "", ""
+	job.State = service.JobQueued
 	job.remoteDone = false
 	job.fetchTries = 0
 	c.kickLocked()
@@ -867,13 +681,13 @@ func (c *Coordinator) probe() {
 // rehashDeadLocked requeues every non-terminal job assigned to a dead
 // worker; the next dispatch places each on the ring rebuilt without it.
 func (c *Coordinator) rehashDeadLocked(name string) {
-	for _, job := range c.jobs {
-		if job.worker == name && !terminalState(job.state) {
+	c.EachLocked(func(job *cjob) {
+		if job.Worker == name && !job.State.Terminal() {
 			c.unassignLocked(job)
 			c.counters.Add("rehashed", 1)
-			c.cfg.Logf("cluster: %s rehashed off dead %s", job.id, name)
+			c.cfg.Logf("cluster: %s rehashed off dead %s", job.ID, name)
 		}
-	}
+	})
 }
 
 // dispatch places every unassigned queued job on its ring owner.
@@ -886,19 +700,18 @@ func (c *Coordinator) dispatch() {
 	ring := c.ring
 	urls := c.liveURLsLocked()
 	var pending []*cjob
-	for _, id := range c.order {
-		job := c.jobs[id]
-		if job.state == service.JobQueued && job.worker == "" && !job.cancel {
+	c.EachLocked(func(job *cjob) {
+		if job.State == service.JobQueued && job.Worker == "" && !job.cancel {
 			pending = append(pending, job)
 		}
-	}
+	})
 	c.mu.Unlock()
 	if ring.Len() == 0 || len(pending) == 0 {
 		return
 	}
 
 	for _, job := range pending {
-		owner, ok := ring.Owner(job.key)
+		owner, ok := ring.Owner(job.ResultKey)
 		if !ok {
 			return
 		}
@@ -907,8 +720,8 @@ func (c *Coordinator) dispatch() {
 			continue
 		}
 		c.mu.Lock()
-		if job.assigns >= c.cfg.MaxAssigns {
-			c.finishLocked(job, service.JobFailed,
+		if job.Attempts >= c.cfg.MaxAssigns {
+			c.FinishLocked(job, service.JobFailed,
 				fmt.Sprintf("exceeded %d worker assignments", c.cfg.MaxAssigns), "cluster")
 			c.mu.Unlock()
 			continue
@@ -923,11 +736,8 @@ func (c *Coordinator) dispatch() {
 func (c *Coordinator) assign(job *cjob, worker, url string, steal bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
 	defer cancel()
-	var sr struct {
-		service.JobStatus
-		Deduped bool `json:"deduped"`
-	}
-	err := c.client.do(ctx, worker, http.MethodPost, url+"/v1/jobs", job.req, &sr)
+	var sr service.JobStatus // the reply's "deduped" flag is not needed
+	err := c.client.do(ctx, worker, http.MethodPost, url+"/v1/jobs", job.Request, &sr)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -935,28 +745,28 @@ func (c *Coordinator) assign(job *cjob, worker, url string, steal bool) {
 			c.counters.Add("dispatch_backpressure", 1)
 		} else {
 			c.counters.Add("rpc_errors", 1)
-			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.id, worker, err)
+			c.cfg.Logf("cluster: dispatch %s to %s: %v", job.ID, worker, err)
 		}
 		return // stays unassigned; next tick retries
 	}
-	if terminalState(job.state) || job.cancel || job.worker != "" {
+	if job.State.Terminal() || job.cancel || job.Worker != "" {
 		return // cancelled or re-placed while the RPC was in flight
 	}
-	stolen := job.stolen
+	stolen := job.Stolen
 	if steal {
 		stolen++
 	}
-	c.jlog(c.journal.Assign(job.id, worker, sr.ID, job.assigns+1, stolen, steal))
-	job.worker = worker
+	c.jlog(c.journal.Assign(job.ID, worker, sr.ID, job.Attempts+1, stolen, steal))
+	job.Worker = worker
 	job.remoteID = sr.ID
-	job.assigns++
+	job.Attempts++
 	if steal {
-		job.stolen++
+		job.Stolen++
 		c.counters.Add("stolen", 1)
 	}
 	c.counters.Add("dispatched", 1)
-	c.cfg.Logf("cluster: %s -> %s as %s", job.id, worker, sr.ID)
-	c.applyRemoteLocked(job, sr.JobStatus) // instant done on a worker cache hit
+	c.cfg.Logf("cluster: %s -> %s as %s", job.ID, worker, sr.ID)
+	c.applyRemoteLocked(job, sr) // instant done on a worker cache hit
 }
 
 // reconcile polls each live worker's job list and folds the observed
@@ -969,11 +779,11 @@ func (c *Coordinator) reconcile() {
 	c.mu.Lock()
 	byWorker := make(map[string][]*cjob)
 	urls := c.liveURLsLocked()
-	for _, job := range c.jobs {
-		if !terminalState(job.state) && job.worker != "" && job.remoteID != "" {
-			byWorker[job.worker] = append(byWorker[job.worker], job)
+	c.EachLocked(func(job *cjob) {
+		if !job.State.Terminal() && job.Worker != "" && job.remoteID != "" {
+			byWorker[job.Worker] = append(byWorker[job.Worker], job)
 		}
-	}
+	})
 	c.mu.Unlock()
 
 	type delTarget struct {
@@ -1004,7 +814,7 @@ func (c *Coordinator) reconcile() {
 		}
 		c.mu.Lock()
 		for _, job := range assigned {
-			if terminalState(job.state) || job.worker != worker {
+			if job.State.Terminal() || job.Worker != worker {
 				continue
 			}
 			rst, ok := byID[job.remoteID]
@@ -1013,11 +823,11 @@ func (c *Coordinator) reconcile() {
 				// journal replay or evicted the record. Rerun elsewhere.
 				c.unassignLocked(job)
 				c.counters.Add("requeued_lost", 1)
-				c.cfg.Logf("cluster: %s lost by %s, requeued", job.id, worker)
+				c.cfg.Logf("cluster: %s lost by %s, requeued", job.ID, worker)
 				continue
 			}
 			c.applyRemoteLocked(job, rst)
-			if job.cancel && !terminalState(job.state) && !job.remoteDone {
+			if job.cancel && !job.State.Terminal() && !job.remoteDone {
 				dels = append(dels, delTarget{worker, url, job.remoteID, job})
 			}
 		}
@@ -1034,7 +844,7 @@ func (c *Coordinator) reconcile() {
 			continue
 		}
 		c.mu.Lock()
-		if d.job.worker == d.worker && d.job.remoteID == d.remoteID {
+		if d.job.Worker == d.worker && d.job.remoteID == d.remoteID {
 			c.applyRemoteLocked(d.job, rst)
 		}
 		c.mu.Unlock()
@@ -1053,15 +863,15 @@ func (c *Coordinator) steal() {
 	urls := c.liveURLsLocked()
 	queuedBy := make(map[string][]*cjob)
 	busy := make(map[string]int)
-	for _, job := range c.jobs {
-		if terminalState(job.state) || job.worker == "" {
-			continue
+	c.EachLocked(func(job *cjob) {
+		if job.State.Terminal() || job.Worker == "" {
+			return
 		}
-		busy[job.worker]++
-		if job.state == service.JobQueued && !job.cancel {
-			queuedBy[job.worker] = append(queuedBy[job.worker], job)
+		busy[job.Worker]++
+		if job.State == service.JobQueued && !job.cancel {
+			queuedBy[job.Worker] = append(queuedBy[job.Worker], job)
 		}
-	}
+	})
 	var idle []string
 	for name := range urls {
 		if busy[name] == 0 {
@@ -1100,7 +910,7 @@ func (c *Coordinator) steal() {
 		if err != nil {
 			if StatusCode(err) == http.StatusNotFound {
 				c.mu.Lock()
-				if !terminalState(job.state) && job.worker == victim {
+				if !job.State.Terminal() && job.Worker == victim {
 					c.unassignLocked(job)
 					c.counters.Add("requeued_lost", 1)
 				}
@@ -1113,7 +923,7 @@ func (c *Coordinator) steal() {
 		if rst.State == service.JobDone || rst.State == service.JobFailed {
 			// Raced: the job finished between the poll and the DELETE.
 			c.mu.Lock()
-			if job.worker == victim {
+			if job.Worker == victim {
 				c.applyRemoteLocked(job, rst)
 			}
 			c.mu.Unlock()
@@ -1124,12 +934,12 @@ func (c *Coordinator) steal() {
 		// the race and let the run finish cannot corrupt anything — the
 		// two shards would store byte-identical results.
 		c.mu.Lock()
-		if terminalState(job.state) || job.cancel || job.worker != victim {
+		if job.State.Terminal() || job.cancel || job.Worker != victim {
 			c.mu.Unlock()
 			continue
 		}
-		c.jlog(c.journal.Unassign(job.id))
-		job.worker, job.remoteID = "", ""
+		c.jlog(c.journal.Unassign(job.ID))
+		job.Worker, job.remoteID = "", ""
 		c.mu.Unlock()
 		c.assign(job, thief, urls[thief], true)
 	}
@@ -1149,30 +959,29 @@ func (c *Coordinator) warmResults() {
 		return
 	}
 	c.mu.Lock()
-	var pend []*cjob
-	for _, job := range c.jobs {
-		if job.remoteDone && !terminalState(job.state) {
+	var pend []*cjob // submission order
+	c.EachLocked(func(job *cjob) {
+		if job.remoteDone && !job.State.Terminal() {
 			pend = append(pend, job)
 		}
-	}
+	})
 	c.mu.Unlock()
-	sort.Slice(pend, func(i, j int) bool { return pend[i].id < pend[j].id })
 	var landed []string
 	for _, job := range pend {
-		_, ok := c.store.Get(job.key)
+		_, ok := c.store.Get(job.ResultKey)
 		c.mu.Lock()
 		switch {
-		case terminalState(job.state) || !job.remoteDone:
+		case job.State.Terminal() || !job.remoteDone:
 			// raced with a concurrent transition; nothing to do
 		case ok:
 			c.counters.Add("results_warmed", 1)
-			c.finishLocked(job, service.JobDone, "", "")
-			landed = append(landed, job.key)
+			c.FinishLocked(job, service.JobDone, "", "")
+			landed = append(landed, job.ResultKey)
 		default:
 			job.fetchTries++
 			if job.fetchTries >= 3 {
 				c.counters.Add("warm_failures", 1)
-				c.cfg.Logf("cluster: %s done on %s but result unreachable; rerunning", job.id, job.worker)
+				c.cfg.Logf("cluster: %s done on %s but result unreachable; rerunning", job.ID, job.Worker)
 				c.unassignLocked(job)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"acb/internal/service"
 )
 
 // EpochHeader carries the coordinator's fencing epoch on every
@@ -73,7 +75,7 @@ func (f *Fence) Middleware(next http.Handler) http.Handler {
 		}
 		n, err := strconv.ParseUint(h, 10, 64)
 		if err != nil || n == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad %s %q", EpochHeader, h))
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("cluster: bad %s %q", EpochHeader, h))
 			return
 		}
 		f.mu.Lock()
@@ -82,7 +84,7 @@ func (f *Fence) Middleware(next http.Handler) http.Handler {
 			f.rejected++
 			f.mu.Unlock()
 			w.Header().Set(EpochHeader, strconv.FormatUint(cur, 10))
-			writeError(w, http.StatusConflict,
+			service.WriteError(w, http.StatusConflict,
 				fmt.Errorf("cluster: stale coordinator epoch %d (current %d)", n, cur))
 			return
 		}

@@ -89,7 +89,7 @@ func OpenJournal(path string) (*Journal, []ReplayedJob, error) {
 	var mirror []json.RawMessage
 	now := time.Now().UTC()
 	for _, rj := range replay {
-		if terminalState(rj.State) {
+		if rj.State.Terminal() {
 			continue
 		}
 		req := rj.Request
@@ -132,12 +132,12 @@ func reduceClusterJournal(recs []json.RawMessage) []ReplayedJob {
 			acc[e.ID] = &ReplayedJob{ID: e.ID, Key: e.Key, Request: *e.Request}
 			order = append(order, e.ID)
 		case "assign":
-			if a := acc[e.ID]; a != nil && !terminalState(a.State) {
+			if a := acc[e.ID]; a != nil && !a.State.Terminal() {
 				a.Worker, a.RemoteID = e.Worker, e.RemoteID
 				a.Assigns, a.Stolen = e.Assigns, e.Stolen
 			}
 		case "unassign":
-			if a := acc[e.ID]; a != nil && !terminalState(a.State) {
+			if a := acc[e.ID]; a != nil && !a.State.Terminal() {
 				a.Worker, a.RemoteID = "", ""
 			}
 		case "done", "failed", "cancelled":
@@ -259,12 +259,4 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	return j.log.Close()
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.log.Path()
 }

@@ -200,14 +200,6 @@ func (j *Journal) Close() error {
 	return j.log.Close()
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string {
-	if j == nil {
-		return ""
-	}
-	return j.log.Path()
-}
-
 // syncDir fsyncs a directory so a just-renamed file inside it survives
 // power loss (used by the result store's disk tier; the journal's own
 // compaction syncs inside internal/wal).

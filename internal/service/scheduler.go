@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -31,6 +29,12 @@ const (
 
 // States lists every job state (metrics emit a gauge per state).
 var States = []JobState{JobQueued, JobRunning, JobDone, JobFailed, JobCancelled}
+
+// Terminal reports whether st is an end state (done, failed or
+// cancelled).
+func (st JobState) Terminal() bool {
+	return st == JobDone || st == JobFailed || st == JobCancelled
+}
 
 // Error kinds classify failed jobs (JobStatus.ErrorKind).
 const (
@@ -60,31 +64,14 @@ type FaultPoints interface {
 	Fire(point string) error
 }
 
-// Job is one scheduled experiment. All mutable fields are guarded by the
-// scheduler's mutex; read them through Status.
-type Job struct {
-	ID      string
-	Key     string
-	Request Request
-
-	state    JobState
-	err      string
-	errKind  string
-	attempts int // runs begun (journal semantics: includes interrupted runs)
-	cacheHit bool
-	replayed bool
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	cpi      map[string]experiments.CPITotals
-
+// sjob is the scheduler's job-table entry.
+type sjob struct {
+	Job
 	// journaled records that this job has a submit record in the WAL, so
 	// its terminal transition must be journaled too.
 	journaled bool
-
+	// cancel stops the running attempt's simulation.
 	cancel context.CancelFunc
-	// done is closed on entry to any terminal state.
-	done chan struct{}
 }
 
 // JobStatus is the JSON snapshot of a job served by the API. Started and
@@ -98,10 +85,12 @@ type JobStatus struct {
 	CacheHit   bool     `json:"cache_hit,omitempty"`
 	Error      string   `json:"error,omitempty"`
 	// ErrorKind classifies failures: "deadline" or "transient" (see
-	// ErrKind*). Empty for done/cancelled jobs.
+	// ErrKind*), or "cluster" for a coordinator's assignment cap. Empty
+	// for done/cancelled jobs.
 	ErrorKind string `json:"error_kind,omitempty"`
 	// Attempts is the number of runs begun, counting runs interrupted by
-	// a daemon crash; 0 for jobs served straight from the store.
+	// a daemon crash (on a coordinator: worker assignments); 0 for jobs
+	// served straight from the store.
 	Attempts int `json:"attempts,omitempty"`
 	// Replayed marks jobs recovered from the journal after a restart.
 	Replayed bool       `json:"replayed,omitempty"`
@@ -111,6 +100,10 @@ type JobStatus struct {
 	// CPI is the job's per-scheme CPI-stack summary (bucket order:
 	// ooo.CPIBucketNames), populated when the job actually simulated.
 	CPI map[string]experiments.CPITotals `json:"cpi,omitempty"`
+	// Worker and Stolen are a coordinator job's placement; a node's own
+	// jobs never set them.
+	Worker string `json:"worker,omitempty"`
+	Stolen int    `json:"stolen,omitempty"`
 }
 
 // SchedulerConfig configures a Scheduler.
@@ -175,6 +168,8 @@ type SchedulerConfig struct {
 
 // Scheduler owns the job table, the bounded queue and the worker pool.
 type Scheduler struct {
+	*JobTable[*sjob]
+
 	cfg       SchedulerConfig
 	store     *Store
 	journal   *Journal
@@ -185,19 +180,14 @@ type Scheduler struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	queue      chan *Job
+	queue      chan *sjob
 	wg         sync.WaitGroup
 	retryWG    sync.WaitGroup
 	// drainCh is closed when Shutdown begins; backoff waits abort on it.
 	drainCh chan struct{}
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string        // submission order, for listing and eviction
-	inflight map[string]*Job // result key -> queued/running job (single-flight)
-	terminal int             // jobs in a terminal state (retention accounting)
-	retryRng *rand.Rand      // jitter source; guarded by mu
-	nextID   int64
+	retryRng *rand.Rand // jitter source; guarded by mu
 	closed   bool
 	ready    bool
 }
@@ -254,12 +244,11 @@ func NewScheduler(cfg SchedulerConfig, store *Store) *Scheduler {
 		cpiStats:   experiments.NewCPIAccumulator(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		queue:      make(chan *Job, depth),
+		queue:      make(chan *sjob, depth),
 		drainCh:    make(chan struct{}),
-		jobs:       make(map[string]*Job),
-		inflight:   make(map[string]*Job),
 		retryRng:   rand.New(rand.NewSource(cfg.RetrySeed)),
 	}
+	s.JobTable = NewJobTable[*sjob](&s.mu, schedOwner{s}, s.counters, "j", cfg.RetainJobs, false)
 	s.journal.SetFaults(cfg.Faults)
 	s.restore(cfg.Replay)
 	s.mu.Lock()
@@ -283,24 +272,10 @@ func (s *Scheduler) restore(replay []ReplayJob) {
 		s.counters.Add("journal_replays", 1)
 	}
 	for _, rj := range replay {
-		job := &Job{
-			ID:        rj.ID,
-			Key:       rj.Key,
-			Request:   rj.Request,
-			attempts:  rj.Attempt,
-			replayed:  true,
-			journaled: true,
-			created:   time.Now(),
-			state:     JobQueued,
-			done:      make(chan struct{}),
-		}
-		// Keep fresh IDs past every recovered one.
-		if n, err := strconv.ParseInt(strings.TrimPrefix(rj.ID, "j"), 10, 64); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
-		s.counters.Add("replayed", 1)
+		job := &sjob{journaled: true}
+		job.JobStatus = JobStatus{ID: rj.ID, State: JobQueued, Request: rj.Request, ResultKey: rj.Key,
+			Attempts: rj.Attempt, Replayed: true, Created: time.Now()}
+		s.RestoreLocked(job)
 		if rj.Interrupted {
 			s.counters.Add("interrupted", 1)
 		}
@@ -308,29 +283,24 @@ func (s *Scheduler) restore(replay []ReplayJob) {
 		// Crash window between persist and the terminal journal record:
 		// the result is already durable, so complete without re-running.
 		if _, ok := s.store.Get(rj.Key); ok {
-			job.cacheHit = true
+			job.CacheHit = true
 			s.counters.Add("cache_hits", 1)
-			s.finishLocked(job, JobDone, "")
+			s.FinishLocked(job, JobDone, "", "")
 			continue
 		}
-		if job.attempts >= s.cfg.MaxAttempts {
-			job.errKind = ErrKindTransient
-			s.finishLocked(job, JobFailed,
-				fmt.Sprintf("service: %d attempts exhausted across restarts", job.attempts))
+		if job.Attempts >= s.cfg.MaxAttempts {
+			s.FinishLocked(job, JobFailed,
+				fmt.Sprintf("service: %d attempts exhausted across restarts", job.Attempts), ErrKindTransient)
 			continue
 		}
-		s.inflight[job.Key] = job
 		s.queue <- job // capacity ≥ len(replay): never blocks
 		s.cfg.Logf("acbd: %s replayed (attempt %d, interrupted=%v): %s",
-			job.ID, job.attempts, rj.Interrupted, job.Request.Experiment)
+			job.ID, job.Attempts, rj.Interrupted, job.Request.Experiment)
 	}
 }
 
 // Store returns the scheduler's result store.
 func (s *Scheduler) Store() *Store { return s.store }
-
-// Journal returns the scheduler's write-ahead log (nil when disabled).
-func (s *Scheduler) Journal() *Journal { return s.journal }
 
 // RunnerStats returns the cumulative experiment-runner totals.
 func (s *Scheduler) RunnerStats() *experiments.RunnerStats { return s.runStats }
@@ -370,71 +340,45 @@ func (s *Scheduler) Ready() (bool, string) {
 	return true, ""
 }
 
-// Submit schedules req. Returns the job snapshot and whether a new job
-// was created: an in-flight identical request coalesces onto the
-// existing job (single-flight) and a stored result completes immediately
-// as a cache hit without touching the queue. Backpressure: ErrQueueFull
-// when the queue is at capacity. With a journal, acceptance is
+// schedOwner is the scheduler's part of its job table: submissions go
+// through the bounded queue, and with a journal, acceptance is
 // acknowledged only after the submit record is fsync'd.
-func (s *Scheduler) Submit(req Request) (JobStatus, bool, error) {
-	key, err := req.Key() // validates and canonicalizes req
-	if err != nil {
-		return JobStatus{}, false, err
-	}
+type schedOwner struct{ s *Scheduler }
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return JobStatus{}, false, ErrShuttingDown
-	}
-	if prior := s.inflight[key]; prior != nil {
-		s.counters.Add("deduped", 1)
-		return s.statusLocked(prior), false, nil
-	}
+func (o schedOwner) NewEntry(j Job) *sjob { return &sjob{Job: j} }
 
-	job := &Job{
-		ID:      fmt.Sprintf("j%06d", s.nextID+1),
-		Key:     key,
-		Request: req,
-		created: time.Now(),
-		done:    make(chan struct{}),
+func (o schedOwner) Refuse() error {
+	if o.s.closed {
+		return ErrShuttingDown
 	}
+	return nil
+}
 
-	if _, ok := s.store.Get(key); ok {
-		// Served entirely from the store: record a terminal job so the
-		// client can poll/fetch it like any other.
-		s.nextID++
-		s.counters.Add("submitted", 1)
-		job.state = JobDone
-		job.cacheHit = true
-		job.finished = job.created
-		close(job.done)
-		s.jobs[job.ID] = job
-		s.order = append(s.order, job.ID)
-		s.terminal++
-		s.counters.Add("cache_hits", 1)
-		s.counters.Add("done", 1)
-		s.evictLocked()
-		return s.statusLocked(job), true, nil
-	}
+func (o schedOwner) Cached(key string) bool {
+	_, ok := o.s.store.Get(key)
+	return ok
+}
 
-	job.state = JobQueued
+func (o schedOwner) Enqueue(job *sjob) error {
 	select {
-	case s.queue <- job:
+	case o.s.queue <- job:
+		return nil
 	default:
 		// Rejected submissions are counted separately and never inflate
 		// "submitted" (which feeds capacity accounting).
-		s.counters.Add("rejected", 1)
-		return JobStatus{}, false, ErrQueueFull
+		o.s.counters.Add("rejected", 1)
+		return ErrQueueFull
 	}
-	s.nextID++
-	s.counters.Add("submitted", 1)
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	s.inflight[key] = job
-	s.evictLocked()
+}
+
+func (o schedOwner) Admitted(job *sjob) {
+	s := o.s
+	if job.CacheHit {
+		s.counters.Add("done", 1)
+		return
+	}
 	if s.journal != nil {
-		if jerr := s.journal.Submit(job.ID, key, job.Request, 0); jerr != nil {
+		if jerr := s.journal.Submit(job.ID, job.ResultKey, job.Request, 0); jerr != nil {
 			// Non-fatal: the job runs, it just loses crash durability.
 			s.counters.Add("journal_errors", 1)
 			s.cfg.Logf("acbd: %s: journal submit: %v", job.ID, jerr)
@@ -442,30 +386,19 @@ func (s *Scheduler) Submit(req Request) (JobStatus, bool, error) {
 			job.journaled = true
 		}
 	}
-	s.cfg.Logf("acbd: %s queued: %s key=%.12s", job.ID, req.Experiment, key)
-	return s.statusLocked(job), true, nil
+	s.cfg.Logf("acbd: %s queued: %s key=%.12s", job.ID, job.Request.Experiment, job.ResultKey)
 }
 
-// Job returns the snapshot of the identified job.
-func (s *Scheduler) Job(id string) (JobStatus, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, ErrUnknownJob
+func (o schedOwner) Finished(job *sjob) {
+	s := o.s
+	s.counters.Add(string(job.State), 1)
+	if job.journaled {
+		if jerr := s.journal.Terminal(job.ID, job.State, job.Error); jerr != nil {
+			s.counters.Add("journal_errors", 1)
+			s.cfg.Logf("acbd: %s: journal terminal: %v", job.ID, jerr)
+		}
 	}
-	return s.statusLocked(job), nil
-}
-
-// Jobs returns every retained job snapshot in submission order.
-func (s *Scheduler) Jobs() []JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.statusLocked(s.jobs[id]))
-	}
-	return out
+	s.cfg.Logf("acbd: %s %s (%s)", job.ID, job.State, job.Request.Experiment)
 }
 
 // Cancel requests cancellation of the identified job: a queued job is
@@ -476,13 +409,13 @@ func (s *Scheduler) Jobs() []JobStatus {
 func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	job, ok := s.jobs[id]
+	job, ok := s.LookupLocked(id)
 	if !ok {
 		return JobStatus{}, ErrUnknownJob
 	}
-	switch job.state {
+	switch job.State {
 	case JobQueued:
-		s.finishLocked(job, JobCancelled, "cancelled while queued")
+		s.FinishLocked(job, JobCancelled, "cancelled while queued", "")
 	case JobRunning:
 		if job.cancel != nil {
 			job.cancel()
@@ -491,38 +424,8 @@ func (s *Scheduler) Cancel(id string) (JobStatus, error) {
 	return s.statusLocked(job), nil
 }
 
-// Wait blocks until the job reaches a terminal state or ctx is done.
-func (s *Scheduler) Wait(ctx context.Context, id string) (JobStatus, error) {
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, ErrUnknownJob
-	}
-	select {
-	case <-job.done:
-		return s.Job(id)
-	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
-	}
-}
-
 // QueueDepth returns the number of jobs waiting in the queue.
 func (s *Scheduler) QueueDepth() int { return len(s.queue) }
-
-// JobCounts returns a gauge of retained jobs per state.
-func (s *Scheduler) JobCounts() map[JobState]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[JobState]int, len(States))
-	for _, st := range States {
-		out[st] = 0
-	}
-	for _, job := range s.jobs {
-		out[job.state]++
-	}
-	return out
-}
 
 // Shutdown stops accepting submissions and drains: queued and running
 // jobs complete normally, while jobs waiting out a retry backoff fail
@@ -585,7 +488,7 @@ func (s *Scheduler) jobTimeout(req Request) time.Duration {
 // execute runs one attempt of the job's experiment, converting worker
 // panics (including injected ones) into errors so a poisoned job cannot
 // take the daemon down with it.
-func (s *Scheduler) execute(ctx context.Context, job *Job, jobCPI *experiments.CPIAccumulator) (tab *stats.Table, err error) {
+func (s *Scheduler) execute(ctx context.Context, job *sjob, jobCPI *experiments.CPIAccumulator) (tab *stats.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if re, ok := r.(error); ok {
@@ -612,9 +515,9 @@ func (s *Scheduler) execute(ctx context.Context, job *Job, jobCPI *experiments.C
 	return experiments.Run(job.Request.Experiment, opts)
 }
 
-func (s *Scheduler) runJob(job *Job) {
+func (s *Scheduler) runJob(job *sjob) {
 	s.mu.Lock()
-	if job.state != JobQueued { // cancelled while queued or awaiting retry
+	if job.State != JobQueued { // cancelled while queued or awaiting retry
 		s.mu.Unlock()
 		return
 	}
@@ -623,11 +526,12 @@ func (s *Scheduler) runJob(job *Job) {
 	if timeout > 0 {
 		ctx, cancel = context.WithTimeout(s.baseCtx, timeout)
 	}
-	job.state = JobRunning
-	job.started = time.Now()
-	job.attempts++
+	started := time.Now()
+	job.State = JobRunning
+	job.Started = &started
+	job.Attempts++
 	job.cancel = cancel
-	attempt := job.attempts
+	attempt := job.Attempts
 	s.mu.Unlock()
 	defer cancel()
 	if job.journaled {
@@ -639,11 +543,11 @@ func (s *Scheduler) runJob(job *Job) {
 
 	jobCPI := experiments.NewCPIAccumulator()
 	tab, err := s.execute(ctx, job, jobCPI)
-	s.durations.Observe(time.Since(job.started).Seconds())
+	s.durations.Observe(time.Since(started).Seconds())
 	s.cpiStats.Merge(jobCPI)
 	if err == nil {
 		s.counters.Add("simulated", 1)
-		if perr := s.store.Put(job.Key, job.Request, tab); perr != nil {
+		if perr := s.store.Put(job.ResultKey, job.Request, tab); perr != nil {
 			// A result that cannot be persisted is a transient job
 			// failure: the attempt is retried rather than silently served
 			// without durability.
@@ -654,21 +558,19 @@ func (s *Scheduler) runJob(job *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if snap := jobCPI.Snapshot(); len(snap) > 0 {
-		job.cpi = snap
+		job.CPI = snap
 	}
 	switch {
 	case err == nil:
-		s.finishLocked(job, JobDone, "")
+		s.FinishLocked(job, JobDone, "", "")
 	case errors.Is(err, context.Canceled):
-		s.finishLocked(job, JobCancelled, err.Error())
+		s.FinishLocked(job, JobCancelled, err.Error(), "")
 	case errors.Is(err, context.DeadlineExceeded):
-		job.errKind = ErrKindDeadline
 		s.counters.Add("deadline_exceeded", 1)
-		s.finishLocked(job, JobFailed,
+		s.FinishLocked(job, JobFailed,
 			fmt.Sprintf("service: deadline exceeded after %s (timeout %s)",
-				time.Since(job.started).Round(time.Millisecond), timeout))
+				time.Since(started).Round(time.Millisecond), timeout), ErrKindDeadline)
 	default:
-		job.errKind = ErrKindTransient
 		if attempt < s.cfg.MaxAttempts {
 			if !s.closed {
 				s.requeueLocked(job, err)
@@ -677,30 +579,30 @@ func (s *Scheduler) runJob(job *Job) {
 			// Draining: keep the WAL's submit/start record un-terminated
 			// so a journaled job's remaining retries resume on restart.
 			job.journaled = false
-			s.finishLocked(job, JobFailed,
-				fmt.Sprintf("%v (retry abandoned: shutting down; journaled jobs resume on restart)", err))
+			s.FinishLocked(job, JobFailed,
+				fmt.Sprintf("%v (retry abandoned: shutting down; journaled jobs resume on restart)", err), ErrKindTransient)
 			return
 		}
-		s.finishLocked(job, JobFailed,
-			fmt.Sprintf("%v (attempt %d/%d)", err, attempt, s.cfg.MaxAttempts))
+		s.FinishLocked(job, JobFailed,
+			fmt.Sprintf("%v (attempt %d/%d)", err, attempt, s.cfg.MaxAttempts), ErrKindTransient)
 	}
 }
 
 // requeueLocked schedules a retry of a transiently failed job: the job
 // goes back to queued, its requeue is journaled, and after an
 // exponential-backoff delay it rejoins the queue. Caller holds s.mu.
-func (s *Scheduler) requeueLocked(job *Job, cause error) {
-	job.state = JobQueued
-	job.err = cause.Error()
-	delay := retryDelay(job.attempts, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
+func (s *Scheduler) requeueLocked(job *sjob, cause error) {
+	job.State = JobQueued
+	job.Error = cause.Error()
+	delay := retryDelay(job.Attempts, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
 	s.counters.Add("retried", 1)
 	if job.journaled {
-		if jerr := s.journal.Requeue(job.ID, job.attempts); jerr != nil {
+		if jerr := s.journal.Requeue(job.ID, job.Attempts); jerr != nil {
 			s.counters.Add("journal_errors", 1)
 			s.cfg.Logf("acbd: %s: journal requeue: %v", job.ID, jerr)
 		}
 	}
-	s.cfg.Logf("acbd: %s retry %d/%d in %s: %v", job.ID, job.attempts+1, s.cfg.MaxAttempts, delay, cause)
+	s.cfg.Logf("acbd: %s retry %d/%d in %s: %v", job.ID, job.Attempts+1, s.cfg.MaxAttempts, delay, cause)
 	s.retryWG.Add(1)
 	go s.retryAfter(job, delay)
 }
@@ -709,17 +611,17 @@ func (s *Scheduler) requeueLocked(job *Job, cause error) {
 // queue. Draining aborts the wait and fails the job fast — without a
 // terminal journal record, so a journaled job's retry resumes on
 // restart. A job cancelled during backoff stays cancelled.
-func (s *Scheduler) retryAfter(job *Job, delay time.Duration) {
+func (s *Scheduler) retryAfter(job *sjob, delay time.Duration) {
 	defer s.retryWG.Done()
 	abandon := func() {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if job.state != JobQueued {
+		if job.State != JobQueued {
 			return
 		}
 		job.journaled = false // keep the requeue record: restart resumes the retry
-		s.finishLocked(job, JobFailed,
-			fmt.Sprintf("%v (retry abandoned: shutting down; journaled jobs resume on restart)", job.err))
+		s.FinishLocked(job, JobFailed,
+			fmt.Sprintf("%v (retry abandoned: shutting down; journaled jobs resume on restart)", job.Error), ErrKindTransient)
 	}
 	select {
 	case <-s.cfg.After(delay):
@@ -729,7 +631,7 @@ func (s *Scheduler) retryAfter(job *Job, delay time.Duration) {
 	}
 	for {
 		s.mu.Lock()
-		if job.state != JobQueued { // cancelled while waiting
+		if job.State != JobQueued { // cancelled while waiting
 			s.mu.Unlock()
 			return
 		}
@@ -771,84 +673,4 @@ func retryDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Durat
 	}
 	half := d / 2
 	return half + time.Duration(rng.Int63n(int64(half)+1))
-}
-
-// finishLocked moves job into a terminal state. Caller holds s.mu.
-func (s *Scheduler) finishLocked(job *Job, state JobState, errMsg string) {
-	switch job.state {
-	case JobDone, JobFailed, JobCancelled:
-		return // already terminal
-	}
-	job.state = state
-	job.err = errMsg
-	job.finished = time.Now()
-	if s.inflight[job.Key] == job {
-		delete(s.inflight, job.Key)
-	}
-	close(job.done)
-	s.terminal++
-	s.counters.Add(string(state), 1)
-	if job.journaled {
-		if jerr := s.journal.Terminal(job.ID, state, errMsg); jerr != nil {
-			s.counters.Add("journal_errors", 1)
-			s.cfg.Logf("acbd: %s: journal terminal: %v", job.ID, jerr)
-		}
-	}
-	s.evictLocked()
-	s.cfg.Logf("acbd: %s %s (%s)", job.ID, state, job.Request.Experiment)
-}
-
-// evictLocked enforces the terminal-job retention cap: the oldest
-// terminal jobs are dropped from the table, in submission order, until
-// at most RetainJobs remain. Active jobs are never evicted, and a
-// dropped job's persisted result stays fetchable by key. Caller holds
-// s.mu.
-func (s *Scheduler) evictLocked() {
-	for s.terminal > s.cfg.RetainJobs {
-		evicted := false
-		for i, id := range s.order {
-			job := s.jobs[id]
-			switch job.state {
-			case JobDone, JobFailed, JobCancelled:
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				s.terminal--
-				evicted = true
-			}
-			if evicted {
-				break
-			}
-		}
-		if !evicted {
-			return // nothing terminal to evict (shouldn't happen)
-		}
-	}
-}
-
-func (s *Scheduler) statusLocked(job *Job) JobStatus {
-	st := JobStatus{
-		ID:         job.ID,
-		State:      job.state,
-		Experiment: job.Request.Experiment,
-		Request:    job.Request,
-		ResultKey:  job.Key,
-		CacheHit:   job.cacheHit,
-		Error:      job.err,
-		Attempts:   job.attempts,
-		Replayed:   job.replayed,
-		Created:    job.created,
-		CPI:        job.cpi,
-	}
-	if job.state == JobFailed {
-		st.ErrorKind = job.errKind
-	}
-	if !job.started.IsZero() {
-		t := job.started
-		st.Started = &t
-	}
-	if !job.finished.IsZero() {
-		t := job.finished
-		st.Finished = &t
-	}
-	return st
 }
