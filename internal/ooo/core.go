@@ -185,7 +185,6 @@ type Core struct {
 	dbgWrongPC  int
 	dbgWrongCyc int64
 	dbgWrongWhy string
-	dbgRing     []string
 
 	// Open predication context walk state.
 	ctx          *ctxState
@@ -447,7 +446,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	}
 	// Per-cycle observers see every cycle individually, so event-driven
 	// skipping is enabled only on bare runs (the throughput path).
-	skippable := c.pipe == nil && c.cpi == nil && c.trace == nil && c.dbgRing == nil
+	skippable := c.pipe == nil && c.cpi == nil && c.trace == nil
 	var lastRetired int64
 	var stuck int64
 	var iter int64
@@ -644,29 +643,11 @@ func (c *Core) result(halted bool) Result {
 	return res
 }
 
-// dbgLog records a fetch/flush event in a small ring for panic dumps;
-// enabled when dbgRing is non-nil.
 // newTok mints a fresh, never-zero flush token.
 func (c *Core) newTok() flushToken {
 	c.tokGen++
 	return c.tokGen
 }
-
-func (c *Core) dbgLog(format string, args ...interface{}) {
-	if c.dbgRing == nil {
-		return
-	}
-	c.dbgRing = append(c.dbgRing, fmt.Sprintf("c%d: ", c.cycle)+fmt.Sprintf(format, args...))
-	if len(c.dbgRing) > 400 {
-		c.dbgRing = c.dbgRing[len(c.dbgRing)-400:]
-	}
-}
-
-// EnableDebugRing turns on the event ring (tests only).
-func (c *Core) EnableDebugRing() { c.dbgRing = make([]string, 0, 512) }
-
-// DebugRing returns the recorded events.
-func (c *Core) DebugRing() []string { return c.dbgRing }
 
 func (c *Core) schemeName() string {
 	if c.scheme == nil {

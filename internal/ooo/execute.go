@@ -90,9 +90,6 @@ func (c *Core) resolveBranch(e *robEntry) {
 			c.pred.SetHistory(e.pred.Hist)
 			c.pred.PushHistory(uint64(e.pc), e.resolvedTaken)
 			if e.wrongTok != 0 && e.wrongTok == c.wrongTok {
-				if c.dbgRing != nil {
-					c.dbgLog("mispredict flush clears wrongTok (pc=%d seq=%d)", e.pc, e.seq)
-				}
 				c.onWrongPath = false
 				c.wrongTok = 0
 				if !c.oracleHalted && c.oracle.PC != c.fetchPC {
@@ -177,9 +174,6 @@ func (c *Core) divergenceFlush(e *robEntry) {
 		}
 	}
 	if c.wrongTok == ctx.tok && ctx.tok != 0 {
-		if c.dbgRing != nil {
-			c.dbgLog("divflush clears wrongTok (ctx%d)", ctx.id)
-		}
 		c.onWrongPath = false
 		c.wrongTok = 0
 	}
@@ -188,9 +182,6 @@ func (c *Core) divergenceFlush(e *robEntry) {
 // flushAfter squashes everything younger than e, restores the RAT from
 // e's checkpoint, clears the front end and redirects fetch.
 func (c *Core) flushAfter(e *robEntry, redirectPC int) {
-	if c.dbgRing != nil {
-		c.dbgLog("flush at seq=%d pc=%d role=%d redirect=%d oracle=%d wrong=%v", e.seq, e.pc, e.role, redirectPC, c.oracle.PC, c.onWrongPath)
-	}
 	c.s.flushes++
 	if !e.hasCkpt {
 		panic("ooo: flush at instruction without RAT checkpoint")
