@@ -40,14 +40,11 @@ func MultiRecon(opts Options) *stats.Table {
 	// The three variants are independent simulations over clones of the
 	// same image, so they fan out on the pool like any other jobs.
 	schemes := []ooo.Scheme{nil, plain, mr}
+	kinds := []string{string(SchemeBaseline), string(SchemeACB), "acb-mr"}
 	results := make([]ooo.Result, len(schemes))
 	runPool(&opts, len(schemes), func(i int) {
 		c := ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), schemes[i], m.Clone())
-		res, err := c.Run(opts.Budget)
-		if err != nil {
-			panic(err)
-		}
-		results[i] = res
+		results[i] = simulate(&opts, c, spec.Name, kinds[i])
 	})
 	base, resPlain, resMR := results[0], results[1], results[2]
 

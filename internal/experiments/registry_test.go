@@ -65,3 +65,47 @@ func TestRunCancelledContext(t *testing.T) {
 		t.Fatalf("cancellation took %s; simulations did not stop mid-run", elapsed)
 	}
 }
+
+// TestRunDeadlineStopsEverySimulation: the sensitivity sweeps and the
+// multiple-reconvergence study build their own cores; a deadline must
+// stop those mid-run too, not only the per-workload sweeps.
+func TestRunDeadlineStopsEverySimulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation sweep")
+	}
+	for _, name := range []string{"sens-n", "multirecon"} {
+		opts := DefaultOptions()
+		opts.Budget = 100_000_000 // seconds to minutes per simulation
+		opts.Jobs = 1
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		opts.Context = ctx
+		errc := make(chan error, 1)
+		go func() {
+			_, err := Run(name, opts)
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s: err = %v, want context.DeadlineExceeded", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s: still running 2s after a 200ms deadline", name)
+		}
+		cancel()
+	}
+}
+
+// TestRunStatsCountEverySimulation: cycles of every simulation an
+// experiment runs reach Options.Stats.
+func TestRunStatsCountEverySimulation(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Budget = 20_000
+	opts.Stats = &RunnerStats{}
+	if _, err := Run("multirecon", opts); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Stats.Cycles() == 0 {
+		t.Fatal("multirecon simulated no cycles into Options.Stats")
+	}
+}

@@ -391,7 +391,14 @@ func runOne(opts *Options, cache *profileCache, w *workload.Workload, kind Schem
 		panic(fmt.Sprintf("experiments: unknown scheme %q", kind))
 	}
 
-	c := ooo.NewWithMemory(opts.Config, p, predictor, scheme, m)
+	return simulate(opts, ooo.NewWithMemory(opts.Config, p, predictor, scheme, m), w.Name, string(kind))
+}
+
+// simulate runs one built core under opts: the build-run-check path
+// every experiment's simulations share. The run honours opts.Context,
+// feeds the CPI stack and cycle totals to opts.CPIStats and opts.Stats,
+// and logs one line labelled name and kind.
+func simulate(opts *Options, c *ooo.Core, name, kind string) ooo.Result {
 	if opts.CollectCPI || opts.CPIStats != nil {
 		c.EnableCPIStack()
 	}
@@ -400,7 +407,7 @@ func runOne(opts *Options, cache *profileCache, w *workload.Workload, kind Schem
 		// Panic with the wrapped error (not a flattened string): runPool
 		// re-raises it and experiments.Run recovers it, so a context
 		// cancellation stays errors.Is-able all the way up.
-		panic(fmt.Errorf("experiments: %s/%s: %w", w.Name, kind, err))
+		panic(fmt.Errorf("experiments: %s/%s: %w", name, kind, err))
 	}
 	if opts.CPIStats != nil && res.CPI != nil {
 		opts.CPIStats.Add(res.Scheme, res.CPI)
@@ -408,7 +415,7 @@ func runOne(opts *Options, cache *profileCache, w *workload.Workload, kind Schem
 	if opts.Stats != nil {
 		opts.Stats.AddCycles(res.Cycles)
 	}
-	opts.Logf("%-12s %-12s IPC=%.3f flushes/k=%.2f", w.Name, kind, res.IPC, res.FlushPerKilo())
+	opts.Logf("%-12s %-12s IPC=%.3f flushes/k=%.2f", name, kind, res.IPC, res.FlushPerKilo())
 	return res
 }
 

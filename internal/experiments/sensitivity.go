@@ -27,16 +27,10 @@ func acbGeomean(opts *Options, cfg core.Config, names []string) float64 {
 			panic(err)
 		}
 		p, m := w.Build()
-		base := ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, m.Clone())
-		bres, err := base.Run(opts.Budget)
-		if err != nil {
-			panic(err)
-		}
-		c := ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), core.New(cfg), m.Clone())
-		res, err := c.Run(opts.Budget)
-		if err != nil {
-			panic(err)
-		}
+		bres := simulate(opts, ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, m.Clone()),
+			names[i], string(SchemeBaseline))
+		res := simulate(opts, ooo.NewWithMemory(opts.Config, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), core.New(cfg), m.Clone()),
+			names[i], string(SchemeACB))
 		sp[i] = stats.Ratio(res.IPC, bres.IPC)
 	})
 	return stats.Geomean(sp)
@@ -126,16 +120,10 @@ func SensitivityPredictor(opts Options) *stats.Table {
 				panic(err)
 			}
 			p, m := w.Build()
-			base := ooo.NewWithMemory(opts.Config, p, newPred(), nil, m.Clone())
-			bres, err := base.Run(opts.Budget)
-			if err != nil {
-				panic(err)
-			}
-			c := ooo.NewWithMemory(opts.Config, p, newPred(), core.New(core.DefaultConfig()), m.Clone())
-			res, err := c.Run(opts.Budget)
-			if err != nil {
-				panic(err)
-			}
+			bres := simulate(&opts, ooo.NewWithMemory(opts.Config, p, newPred(), nil, m.Clone()),
+				sensitivityWorkloads[i], name)
+			res := simulate(&opts, ooo.NewWithMemory(opts.Config, p, newPred(), core.New(core.DefaultConfig()), m.Clone()),
+				sensitivityWorkloads[i], name+"+acb")
 			ipcs[i] = bres.IPC
 			sp[i] = stats.Ratio(res.IPC, bres.IPC)
 		})
