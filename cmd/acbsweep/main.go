@@ -31,15 +31,11 @@ func main() {
 		names     = flag.String("workloads", "", "comma-separated workload selectors: names, trace:<file>, tier=adversarial (default: full suite)")
 		jobs      = flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
 		format    = flag.String("format", "ascii", "table rendering: json | csv | ascii")
-		csv       = flag.Bool("csv", false, "deprecated alias for -format csv")
 		plot      = flag.Bool("plot", false, "render ASCII charts alongside the tables")
 		verbose   = flag.Bool("v", false, "per-run progress and runner stats on stderr")
 		listNames = flag.Bool("list", false, "list workloads and exit")
 	)
 	flag.Parse()
-	if *csv {
-		*format = "csv"
-	}
 	render := renderer(*format)
 	if render == nil {
 		fmt.Fprintf(os.Stderr, "unknown format %q (want json, csv or ascii)\n", *format)
