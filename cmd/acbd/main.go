@@ -381,8 +381,8 @@ func listenAndDrain(addr, debug string, drain time.Duration, handler http.Handle
 
 // retryPolicy retries transiently-refused submissions — 429 (queue
 // full) and 503 (draining/not ready) — honoring the server's
-// Retry-After hint when it parses and falling back to equal-jitter
-// exponential backoff so a herd of refused clients spreads back out.
+// Retry-After hint when it parses and falling back to service.Backoff
+// so a herd of refused clients spreads back out.
 type retryPolicy struct {
 	tries int           // total attempts, including the first
 	base  time.Duration // backoff for the first retry
@@ -428,18 +428,13 @@ func (p *retryPolicy) post(client *http.Client, url, contentType string, body []
 }
 
 // delay picks the wait before the next attempt: the Retry-After hint
-// plus a little jitter when the server sent one, equal-jitter
-// exponential backoff otherwise.
+// plus a little jitter when the server sent one, service.Backoff
+// otherwise.
 func (p *retryPolicy) delay(attempt int, retryAfter string) time.Duration {
 	if hint, ok := p.parseRetryAfter(retryAfter); ok {
 		return hint + time.Duration(p.rng.Int63n(int64(p.base/2)+1))
 	}
-	d := p.base << uint(attempt)
-	if d > p.max || d <= 0 {
-		d = p.max
-	}
-	half := d / 2
-	return half + time.Duration(p.rng.Int63n(int64(half)+1))
+	return service.Backoff(attempt+1, p.base, p.max, p.rng)
 }
 
 // parseRetryAfter interprets a Retry-After header in both RFC 9110 forms:

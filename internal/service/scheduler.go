@@ -594,7 +594,7 @@ func (s *Scheduler) runJob(job *sjob) {
 func (s *Scheduler) requeueLocked(job *sjob, cause error) {
 	job.State = JobQueued
 	job.Error = cause.Error()
-	delay := retryDelay(job.Attempts, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
+	delay := Backoff(job.Attempts, s.cfg.RetryBase, s.cfg.RetryMax, s.retryRng)
 	s.counters.Add("retried", 1)
 	if job.journaled {
 		if jerr := s.journal.Requeue(job.ID, job.Attempts); jerr != nil {
@@ -656,16 +656,14 @@ func (s *Scheduler) retryAfter(job *sjob, delay time.Duration) {
 	}
 }
 
-// retryDelay computes the backoff before the run after attempt runs
-// have begun: exponential in the attempt number, capped at max, with
-// equal jitter (uniform in [d/2, d]) so a burst of transient failures
-// does not retry in lockstep.
-func retryDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
+// Backoff is acbd's one retry schedule, shared by job retries, the
+// cluster's idempotent RPCs and `acbd submit`: before retry n (n >= 1)
+// wait d = min(max, base·2ⁿ⁻¹), drawn uniformly from [d/2, d] (equal
+// jitter) so a burst of transient failures does not retry in lockstep.
+// rng is the caller's jitter source; it is not safe for concurrent use.
+func Backoff(n int, base, max time.Duration, rng *rand.Rand) time.Duration {
 	d := base
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < n && d < max; i++ {
 		d *= 2
 	}
 	if d > max {
