@@ -25,10 +25,10 @@ import (
 // client's default when the caller set none) — never the transport's or
 // the server's idea of a timeout — and idempotent RPCs (health probes,
 // job listings, store fetches) retry transient failures a bounded
-// number of times with equal-jitter backoff. When the client has an
-// epoch, it is stamped on every request; a 409 reply carrying a higher
-// epoch means this coordinator has been fenced, reported once through
-// the onStale hook.
+// number of times, waiting service.Backoff between attempts. When the
+// client has an epoch, it is stamped on every request; a 409 reply
+// carrying a higher epoch means this coordinator has been fenced,
+// reported once through the onStale hook.
 type Client struct {
 	http    *http.Client
 	faults  service.FaultPoints
@@ -43,8 +43,8 @@ type Client struct {
 	rng     *rand.Rand
 }
 
-// Default retry schedule for idempotent RPCs: up to 3 attempts, backoff
-// uniformly drawn from [base/2, base], doubling per attempt, capped.
+// Default retry schedule for idempotent RPCs: up to 3 attempts, with
+// service.Backoff(n, base, max) before attempt n+1.
 const (
 	defaultRetryTries = 3
 	defaultRetryBase  = 100 * time.Millisecond
@@ -116,35 +116,67 @@ func StatusCode(err error) int {
 	return 0
 }
 
-func (c *Client) fire(node string) error {
-	if c.faults == nil {
-		return nil
-	}
-	if err := c.faults.Fire("rpc"); err != nil {
-		return fmt.Errorf("cluster: rpc to %s: %w", node, err)
-	}
-	if err := c.faults.Fire("rpc." + node); err != nil {
-		return fmt.Errorf("cluster: rpc to %s: %w", node, err)
-	}
-	return nil
-}
+// maxReply bounds how much of one RPC reply is read: a stored-result
+// envelope, the largest reply any node sends, stays well under it.
+const maxReply = 64 << 20
 
-// withDeadline guarantees an explicit deadline on ctx.
-func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
+// roundTrip performs one RPC against a node and returns the 2xx reply
+// body. It fires the rpc and rpc.<node> fault points, runs under an
+// explicit deadline (ctx's, or the client's default), stamps the epoch,
+// and sends body, when non-nil, as JSON. A non-2xx reply becomes a
+// *statusError carrying the reply's error message, after a 409 naming a
+// higher epoch has been reported to the onStale hook.
+func (c *Client) roundTrip(ctx context.Context, node, method, url string, body []byte) ([]byte, error) {
+	if c.faults != nil {
+		for _, point := range []string{"rpc", "rpc." + node} {
+			if err := c.faults.Fire(point); err != nil {
+				return nil, fmt.Errorf("cluster: rpc to %s: %w", node, err)
+			}
+		}
 	}
-	return context.WithTimeout(ctx, c.timeout)
-}
-
-// stamp adds the epoch header when this client has one.
-func (c *Client) stamp(req *http.Request) {
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	c.mu.Lock()
 	epoch := c.epoch
 	c.mu.Unlock()
 	if epoch > 0 {
 		req.Header.Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReply))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		c.noteFenced(resp)
+		var ae struct {
+			Error string `json:"error"`
+		}
+		msg := string(b)
+		if json.Unmarshal(b, &ae) == nil && ae.Error != "" {
+			msg = ae.Error
+		}
+		return nil, &statusError{code: resp.StatusCode, body: msg}
+	}
+	return b, nil
 }
 
 // noteFenced inspects a 409 response for a higher epoch and reports it.
@@ -152,11 +184,7 @@ func (c *Client) noteFenced(resp *http.Response) {
 	if resp.StatusCode != http.StatusConflict {
 		return
 	}
-	h := resp.Header.Get(EpochHeader)
-	if h == "" {
-		return
-	}
-	n, err := strconv.ParseUint(h, 10, 64)
+	n, err := strconv.ParseUint(resp.Header.Get(EpochHeader), 10, 64)
 	if err != nil {
 		return
 	}
@@ -169,57 +197,6 @@ func (c *Client) noteFenced(resp *http.Response) {
 	}
 }
 
-// do performs one RPC against a node: method + url, optional JSON body
-// in, optional JSON decode into out. Non-2xx responses become
-// *statusError with the response body's error message.
-func (c *Client) do(ctx context.Context, node, method, url string, in, out interface{}) error {
-	if err := c.fire(node); err != nil {
-		return err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	var body io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(b)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.stamp(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		c.noteFenced(resp)
-		var ae struct {
-			Error string `json:"error"`
-		}
-		msg := string(b)
-		if json.Unmarshal(b, &ae) == nil && ae.Error != "" {
-			msg = ae.Error
-		}
-		return &statusError{code: resp.StatusCode, body: msg}
-	}
-	if out != nil {
-		return json.Unmarshal(b, out)
-	}
-	return nil
-}
-
 // retriable reports whether an idempotent RPC should be re-attempted:
 // transport failures and 5xx/429 are transient; other response codes
 // (404 miss, 409 fenced, 4xx misuse) are authoritative.
@@ -228,170 +205,133 @@ func retriable(err error) bool {
 	return code == 0 || code >= 500 || code == http.StatusTooManyRequests
 }
 
-// backoff sleeps one equal-jitter step (uniform in [d/2, d]) or until
-// ctx is done.
-func (c *Client) backoff(ctx context.Context, attempt int) error {
-	c.mu.Lock()
-	d := c.base << uint(attempt)
-	if d > c.max || d <= 0 {
-		d = c.max
-	}
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.mu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// doIdempotent is do with bounded equal-jitter retries, for RPCs that
-// are safe to repeat (GETs: probes, job listings, metrics scrapes).
-// The caller's ctx bounds the whole schedule; each attempt still gets
-// its own explicit deadline inside do.
-func (c *Client) doIdempotent(ctx context.Context, node, method, url string, in, out interface{}) error {
+// retry runs an idempotent RPC attempt up to the client's tries, waiting
+// service.Backoff between attempts, and stops early on success or an
+// authoritative answer. ctx bounds the whole schedule; each attempt
+// still gets its own explicit deadline inside roundTrip.
+func (c *Client) retry(ctx context.Context, attempt func() error) error {
 	c.mu.Lock()
 	tries := c.tries
 	c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt-1); err != nil {
-				return lastErr
-			}
+	for n := 1; ; n++ {
+		err := attempt()
+		if err == nil || !retriable(err) || n >= tries {
+			return err
 		}
-		lastErr = c.do(ctx, node, method, url, in, out)
-		if lastErr == nil || !retriable(lastErr) {
-			return lastErr
+		c.mu.Lock()
+		d := service.Backoff(n, c.base, c.max, c.rng)
+		c.mu.Unlock()
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return err
 		}
 	}
-	return lastErr
 }
 
-// getBytes performs one GET and returns the raw response body. A 404
+// do performs one RPC with an optional JSON body in and an optional
+// JSON decode of the reply into out.
+func (c *Client) do(ctx context.Context, node, method, url string, in, out interface{}) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	b, err := c.roundTrip(ctx, node, method, url, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(b, out)
+}
+
+// doIdempotent is do under the retry schedule, for RPCs that are safe to
+// repeat (GETs: probes, job listings).
+func (c *Client) doIdempotent(ctx context.Context, node, method, url string, in, out interface{}) error {
+	return c.retry(ctx, func() error { return c.do(ctx, node, method, url, in, out) })
+}
+
+// getBytes performs one GET and returns the raw reply body. A 404
 // returns (nil, nil): the peer authoritatively does not have it.
 func (c *Client) getBytes(ctx context.Context, node, url string) ([]byte, error) {
-	if err := c.fire(node); err != nil {
-		return nil, err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.stamp(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
+	b, err := c.roundTrip(ctx, node, http.MethodGet, url, nil)
+	if StatusCode(err) == http.StatusNotFound {
 		return nil, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		c.noteFenced(resp)
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &statusError{code: resp.StatusCode, body: string(b)}
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	return b, err
 }
 
-// getBytesIdempotent is getBytes with the idempotent retry schedule
-// (store and envelope fetches).
-func (c *Client) getBytesIdempotent(ctx context.Context, node, url string) ([]byte, error) {
-	c.mu.Lock()
-	tries := c.tries
-	c.mu.Unlock()
-	var lastB []byte
-	var lastErr error
-	for attempt := 0; attempt < tries; attempt++ {
-		if attempt > 0 {
-			if err := c.backoff(ctx, attempt-1); err != nil {
-				return nil, lastErr
-			}
-		}
-		lastB, lastErr = c.getBytes(ctx, node, url)
-		if lastErr == nil || !retriable(lastErr) {
-			return lastB, lastErr
-		}
-	}
-	return nil, lastErr
+// getBytesIdempotent is getBytes under the retry schedule (store and
+// envelope fetches).
+func (c *Client) getBytesIdempotent(ctx context.Context, node, url string) (b []byte, err error) {
+	err = c.retry(ctx, func() error {
+		b, err = c.getBytes(ctx, node, url)
+		return err
+	})
+	return b, err
 }
 
-// putBytes PUTs a raw body (result-envelope replication). Not retried:
-// replication failures are counted and the coordinator's own copy
-// already satisfies durability.
+// putBytes PUTs a raw JSON body (result-envelope replication). Not
+// retried: replication failures are counted and the coordinator's own
+// copy already satisfies durability.
 func (c *Client) putBytes(ctx context.Context, node, url string, body []byte) error {
-	if err := c.fire(node); err != nil {
-		return err
+	_, err := c.roundTrip(ctx, node, http.MethodPut, url, body)
+	return err
+}
+
+// fetchFirst is the one peer walk: it asks each candidate in turn for
+// key's stored-result envelope via GET /v1/store/{key}, skipping repeats
+// and names without a URL in urls. The first hit wins; all-404 is an
+// authoritative miss; a miss with transport errors reports the first
+// error so the store counts it.
+func (c *Client) fetchFirst(ctx context.Context, key string, names []string, urls map[string]string) ([]byte, error) {
+	var firstErr error
+	tried := make(map[string]bool, len(names))
+	for _, name := range names {
+		if urls[name] == "" || tried[name] {
+			continue
+		}
+		tried[name] = true
+		b, err := c.getBytesIdempotent(ctx, name, urls[name]+"/v1/store/"+key)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		if b != nil {
+			return b, nil
+		}
 	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.stamp(req)
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		c.noteFenced(resp)
-		return &statusError{code: resp.StatusCode, body: string(b)}
-	}
-	return nil
+	return nil, firstErr
 }
 
 // PeerFetcher builds the service.PeerFetchFunc for a worker shard: on a
 // local store miss, ask the shards that carry the key — the ring owner
 // first, then its successor, which holds the key's replica under the
-// coordinator's RF=2 result replication — via GET /v1/store/{key}.
-// Shards serve that endpoint from local tiers only (never their own
-// peer tier), which is what makes the recursion terminate: two shards
-// can never chase each other for a key neither has.
+// coordinator's RF=2 result replication — via fetchFirst. Shards serve
+// GET /v1/store/{key} from local tiers only (never their own peer
+// tier), which is what makes the recursion terminate: two shards can
+// never chase each other for a key neither has.
 //
-// self is skipped in the candidate list (asking yourself is the miss
-// you already had). members maps node name → base URL and is the static
-// fleet; liveness doesn't matter here — a dead candidate is a transport
-// error, and the next candidate is tried. First hit wins; all-404 is an
-// authoritative miss; a miss with transport errors reports the first
-// error so the store counts it.
+// self is never asked (asking yourself is the miss you already had).
+// members maps node name → base URL and is the static fleet; liveness
+// doesn't matter here — a dead candidate is a transport error, and the
+// next candidate is tried.
 func PeerFetcher(self string, members map[string]string, client *Client) service.PeerFetchFunc {
 	names := make([]string, 0, len(members))
-	for name := range members {
+	others := make(map[string]string, len(members))
+	for name, url := range members {
 		names = append(names, name)
+		if name != self {
+			others[name] = url
+		}
 	}
 	ring := NewRing(0, names...)
 	return func(ctx context.Context, key string) ([]byte, error) {
-		var firstErr error
-		for _, name := range ring.Owners(key, 2) {
-			if name == self {
-				continue
-			}
-			base, ok := members[name]
-			if !ok {
-				continue
-			}
-			b, err := client.getBytesIdempotent(ctx, name, base+"/v1/store/"+key)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if b != nil {
-				return b, nil
-			}
-		}
-		return nil, firstErr
+		return client.fetchFirst(ctx, key, ring.Owners(key, 2), others)
 	}
 }

@@ -116,8 +116,9 @@ func TestClientNoRetryOnAuthoritative(t *testing.T) {
 }
 
 // TestClientStampsEpochAndReportsFencing: an epoch-bearing client stamps
-// every RPC; a 409 carrying a higher epoch triggers the onStale hook
-// exactly once per call, with the fencing epoch.
+// every RPC shape — the JSON job POST, the store GET and the replication
+// PUT; a 409 carrying a higher epoch triggers the onStale hook with the
+// fencing epoch.
 func TestClientStampsEpochAndReportsFencing(t *testing.T) {
 	var sawEpoch atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -127,19 +128,36 @@ func TestClientStampsEpochAndReportsFencing(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	var staleWith atomic.Uint64
-	c := NewClient(time.Second, nil)
-	c.SetRetry(1, time.Millisecond, time.Millisecond, 1)
-	c.SetEpoch(3, func(higher uint64) { staleWith.Store(higher) })
+	for _, tc := range []struct {
+		name string
+		call func(c *Client) error
+	}{
+		{"job POST", func(c *Client) error {
+			return c.do(context.Background(), "w1", http.MethodPost, ts.URL+"/v1/jobs", map[string]int{"seed": 1}, nil)
+		}},
+		{"store GET", func(c *Client) error {
+			_, err := c.getBytesIdempotent(context.Background(), "w1", ts.URL+"/v1/store/k")
+			return err
+		}},
+		{"replication PUT", func(c *Client) error {
+			return c.putBytes(context.Background(), "w1", ts.URL+"/v1/store/k", []byte(`{}`))
+		}},
+	} {
+		sawEpoch.Store("")
+		var staleWith atomic.Uint64
+		c := NewClient(time.Second, nil)
+		c.SetRetry(1, time.Millisecond, time.Millisecond, 1)
+		c.SetEpoch(3, func(higher uint64) { staleWith.Store(higher) })
 
-	err := c.do(context.Background(), "w1", http.MethodPost, ts.URL+"/v1/jobs", map[string]int{"seed": 1}, nil)
-	if StatusCode(err) != http.StatusConflict {
-		t.Fatalf("want 409, got %v", err)
-	}
-	if got := sawEpoch.Load(); got != "3" {
-		t.Errorf("request carried epoch %v, want \"3\"", got)
-	}
-	if staleWith.Load() != 7 {
-		t.Errorf("onStale reported %d, want 7", staleWith.Load())
+		err := tc.call(c)
+		if StatusCode(err) != http.StatusConflict {
+			t.Fatalf("%s: want 409, got %v", tc.name, err)
+		}
+		if got := sawEpoch.Load(); got != "3" {
+			t.Errorf("%s: request carried epoch %v, want \"3\"", tc.name, got)
+		}
+		if staleWith.Load() != 7 {
+			t.Errorf("%s: onStale reported %d, want 7", tc.name, staleWith.Load())
+		}
 	}
 }

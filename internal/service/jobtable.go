@@ -211,6 +211,12 @@ func (t *JobTable[J]) LookupLocked(id string) (J, bool) {
 	return job, ok
 }
 
+// InflightLocked returns the non-terminal job for a result key.
+func (t *JobTable[J]) InflightLocked(key string) (J, bool) {
+	job, ok := t.inflight[key]
+	return job, ok
+}
+
 // EachLocked calls fn for every retained job in submission order.
 func (t *JobTable[J]) EachLocked(fn func(J)) {
 	for _, id := range t.order {
