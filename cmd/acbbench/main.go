@@ -19,8 +19,8 @@
 //
 // Usage:
 //
-//	go run ./cmd/acbbench -out BENCH_cycleloop.json           # refresh baseline
-//	go run ./cmd/acbbench -compare BENCH_cycleloop.json       # CI gate
+//	go run ./cmd/acbbench -out BENCH_cycleloop.json                            # refresh baseline
+//	go run ./cmd/acbbench -compare BENCH_cycleloop.json -out measured.json     # CI gate
 package main
 
 import (
@@ -32,9 +32,8 @@ import (
 	"sort"
 	"time"
 
-	"acb/internal/bpu"
 	"acb/internal/config"
-	"acb/internal/core"
+	"acb/internal/experiments"
 	"acb/internal/ooo"
 	"acb/internal/stats"
 	"acb/internal/workload"
@@ -88,26 +87,41 @@ const (
 	allocSlackAbs  = 0.5 // allocs per kilocycle
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is acbbench with its arguments; it returns the exit status.
+func run(args []string) int {
+	fs := flag.NewFlagSet("acbbench", flag.ExitOnError)
 	var (
-		out     = flag.String("out", "BENCH_cycleloop.json", "write the measured snapshot here ('' to skip)")
-		compare = flag.String("compare", "", "baseline snapshot to gate against (exit 1 on regression)")
-		budget  = flag.Int64("budget", 400_000, "retired-instruction budget per simulation")
-		repeat  = flag.Int("repeat", 3, "measurement repetitions; the fastest wall time wins")
+		out     = fs.String("out", "BENCH_cycleloop.json", "write the measured snapshot here ('' to skip)")
+		compare = fs.String("compare", "", "baseline snapshot to gate against (exit 1 on regression)")
+		budget  = fs.Int64("budget", 400_000, "retired-instruction budget per simulation")
+		repeat  = fs.Int("repeat", 3, "measurement repetitions; the fastest wall time wins")
 	)
-	flag.Parse()
+	fs.Parse(args)
+
+	// Load the baseline before anything is written: -out may name the
+	// same file.
+	var base *Snapshot
+	if *compare != "" {
+		var err error
+		if base, err = load(*compare); err != nil {
+			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
+			return 2
+		}
+	}
 
 	snap, err := measure(*budget, *repeat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	if *out != "" {
 		buf, _ := json.MarshalIndent(snap, "", "  ")
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
@@ -118,18 +132,13 @@ func main() {
 		fmt.Printf("  %-8s normalized instr/s geomean %.4g\n", sch, snap.Geomean.NormalizedIPS[sch])
 	}
 
-	if *compare != "" {
-		base, err := load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acbbench: %v\n", err)
-			os.Exit(2)
+	if base != nil {
+		if !gate(base, snap) {
+			return 1
 		}
-		if gate(base, snap) {
-			fmt.Println("perf gate: PASS")
-			return
-		}
-		os.Exit(1)
+		fmt.Println("perf gate: PASS")
 	}
+	return 0
 }
 
 // refScore times a fixed xorshift/sum loop — pure integer compute, no
@@ -201,15 +210,18 @@ func measure(budget int64, repeat int) (*Snapshot, error) {
 // optimized for. Simulated cycles and allocation counts are deterministic
 // across repetitions; wall time takes the fastest of `repeat` runs.
 func measureOne(w *workload.Workload, sch string, budget int64, repeat int) (*WorkloadRow, error) {
+	newPred, newScheme, err := experiments.SchemeFor(experiments.SchemeKind(sch), "tage", w)
+	if err != nil {
+		return nil, err
+	}
 	row := &WorkloadRow{Name: w.Name, Scheme: sch}
 	for r := 0; r < repeat; r++ {
 		p, m := w.Build()
 		var scheme ooo.Scheme
-		if sch == "acb" {
-			scheme = core.New(core.DefaultConfig())
+		if newScheme != nil {
+			scheme = newScheme()
 		}
-		c := ooo.NewWithMemory(config.Skylake(), p,
-			bpu.NewTAGE(bpu.DefaultTAGEConfig()), scheme, m)
+		c := ooo.NewWithMemory(config.Skylake(), p, newPred(), scheme, m)
 
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
+	"testing"
+)
 
 func snapshot(baseIPS, acbIPS float64, cycles int64) *Snapshot {
 	return &Snapshot{
@@ -42,5 +48,33 @@ func TestGate(t *testing.T) {
 	old.Geomean.NormalizedIPS = nil
 	if gate(old, snapshot(1, 1, 800)) {
 		t.Error("gate passed against a snapshot without per-scheme geomeans")
+	}
+}
+
+// TestCompareLoadsBaselineBeforeWriting: with -compare and -out naming
+// the same file, the gate must judge the fresh run against the file's
+// old contents, not against the snapshot that just overwrote it. The
+// planted baseline claims a throughput no host reaches, so the gate
+// fails.
+func TestCompareLoadsBaselineBeforeWriting(t *testing.T) {
+	const budget = 2000
+	path := filepath.Join(t.TempDir(), "snap.json")
+	unreachable := &Snapshot{
+		Budget: budget,
+		Geomean: GeomeanSummary{
+			NormalizedCPS: 1e18,
+			NormalizedIPS: map[string]float64{"baseline": 1e18, "acb": 1e18},
+		},
+	}
+	buf, err := json.Marshal(unreachable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-budget", strconv.Itoa(budget), "-repeat", "1", "-compare", path, "-out", path}
+	if code := run(args); code != 1 {
+		t.Fatalf("acbbench %v exited %d, want 1 (gate FAIL against the planted baseline)", args, code)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/core"
-	"acb/internal/dmp"
 	"acb/internal/experiments"
 	"acb/internal/isa"
 	"acb/internal/ooo"
@@ -77,52 +76,15 @@ func main() {
 		return
 	}
 
-	newPredictor := func() bpu.Predictor {
-		if *schemeStr == "perfect" {
-			return bpu.NewOracle()
-		}
-		switch *predName {
-		case "tage":
-			return bpu.NewTAGE(bpu.DefaultTAGEConfig())
-		case "gshare":
-			return bpu.NewGShare(14, 16)
-		case "bimodal":
-			return bpu.NewBimodal(14)
-		case "perceptron":
-			return bpu.NewPerceptron(10, 32)
-		}
-		fail(fmt.Errorf("unknown predictor %q", *predName))
-		return nil
+	// Build the variant through the experiments' own switch, so a DMP
+	// scheme profiles the training input exactly as every sweep does.
+	kind := experiments.SchemeKind(*schemeStr)
+	if kind == "perfect" {
+		kind = experiments.SchemePerfectBP
 	}
-
-	var newScheme func() ooo.Scheme
-	switch *schemeStr {
-	case "baseline", "perfect":
-	case "acb":
-		newScheme = func() ooo.Scheme { return core.New(core.DefaultConfig()) }
-	case "acb-nodynamo":
-		newScheme = func() ooo.Scheme {
-			c := core.DefaultConfig()
-			c.UseDynamo = false
-			return core.New(c)
-		}
-	case "acb-eager":
-		newScheme = func() ooo.Scheme {
-			c := core.DefaultConfig()
-			c.Eager = true
-			return core.New(c)
-		}
-	case "dmp", "dmp-pbh", "dhp":
-		mode := dmp.ModeDMP
-		if *schemeStr == "dhp" {
-			mode = dmp.ModeDHP
-		}
-		c := dmp.DefaultConfig(mode)
-		c.PerfectBranchHistory = *schemeStr == "dmp-pbh"
-		cands := dmp.Profile(p, m, dmp.DefaultProfileConfig())
-		newScheme = func() ooo.Scheme { return dmp.New(c, cands) }
-	default:
-		fail(fmt.Errorf("unknown scheme %q", *schemeStr))
+	newPredictor, newScheme, err := experiments.SchemeFor(kind, *predName, &w)
+	if err != nil {
+		fail(err)
 	}
 
 	if *sampled {

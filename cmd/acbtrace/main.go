@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"os"
 
-	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/core"
 	"acb/internal/critpath"
+	"acb/internal/experiments"
 	"acb/internal/ooo"
 	"acb/internal/prog"
 	"acb/internal/workload"
@@ -35,7 +35,7 @@ func main() {
 		steps  = flag.Int64("steps", 200_000, "trace length for critpath mode")
 		budget = flag.Int64("budget", 400_000, "retired-instruction budget for trace mode")
 		format = flag.String("format", "chrome", "trace mode output: chrome | text")
-		scheme = flag.String("scheme", "acb", "trace mode scheme: acb | baseline")
+		scheme = flag.String("scheme", "acb", "trace mode scheme: baseline | perfect-bp | acb | acb-nodynamo | acb-eager | dmp | dmp-pbh | dhp")
 		cap    = flag.Int("trace-cap", ooo.DefaultTraceCap, "event-ring capacity for trace mode (oldest events drop beyond it)")
 	)
 	flag.Parse()
@@ -112,16 +112,16 @@ func main() {
 		}
 
 	case "trace":
-		var sch ooo.Scheme
-		switch *scheme {
-		case "acb":
-			sch = core.New(core.DefaultConfig())
-		case "baseline":
-		default:
-			fmt.Fprintf(os.Stderr, "unknown scheme %q (want acb or baseline)\n", *scheme)
+		newPred, newScheme, err := experiments.SchemeFor(experiments.SchemeKind(*scheme), "tage", &w)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		c := ooo.NewWithMemory(config.Skylake(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), sch, m)
+		var sch ooo.Scheme
+		if newScheme != nil {
+			sch = newScheme()
+		}
+		c := ooo.NewWithMemory(config.Skylake(), p, newPred(), sch, m)
 		ring := c.EnableTrace(*cap)
 		if acb, ok := sch.(*core.ACB); ok {
 			acb.SetTrace(ring)

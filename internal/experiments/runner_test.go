@@ -64,7 +64,7 @@ func TestProfileCacheSingleFlight(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				c := cache.get(&ws[i], nil, nil)
+				c := cache.get(&ws[i])
 				mu.Lock()
 				got[i] = append(got[i], len(c))
 				mu.Unlock()

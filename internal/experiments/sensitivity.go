@@ -104,14 +104,8 @@ func SensitivityCriticalTable(opts Options) *stats.Table {
 func SensitivityPredictor(opts Options) *stats.Table {
 	opts.fill()
 	t := stats.NewTable("predictor", "baseline-geomean-IPC", "acb-geomean-speedup")
-	mk := map[string]func() bpu.Predictor{
-		"bimodal":    func() bpu.Predictor { return bpu.NewBimodal(14) },
-		"gshare":     func() bpu.Predictor { return bpu.NewGShare(14, 16) },
-		"perceptron": func() bpu.Predictor { return bpu.NewPerceptron(10, 32) },
-		"tage":       func() bpu.Predictor { return bpu.NewTAGE(bpu.DefaultTAGEConfig()) },
-	}
 	for _, name := range []string{"bimodal", "gshare", "perceptron", "tage"} {
-		newPred := mk[name]
+		newPred := predictors[name]
 		ipcs := make([]float64, len(sensitivityWorkloads))
 		sp := make([]float64, len(sensitivityWorkloads))
 		runPool(&opts, len(sensitivityWorkloads), func(i int) {
