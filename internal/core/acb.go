@@ -293,15 +293,29 @@ func (a *ACB) OnBranchResolve(ev ooo.ResolveEvent) {
 }
 
 // OnRetireTick implements ooo.Scheme: window resets and Dynamo epochs.
-func (a *ACB) OnRetireTick(cycle int64) {
-	a.retired++
+func (a *ACB) OnRetireTick(cycle int64) { a.OnRetire(1, cycle) }
+
+// OnRetire implements ooo.BoundaryScheme: it takes n retirements at once
+// and asks to be called again at the next criticality-window or Dynamo
+// epoch boundary, the only retirements at which its state changes.
+func (a *ACB) OnRetire(n, cycle int64) int64 {
+	a.retired += n
 	if a.retired-a.windowBase >= a.cfg.WindowInstrs {
 		a.windowBase = a.retired
 		a.critical.ResetWindow()
 	}
+	next := a.windowBase + a.cfg.WindowInstrs - a.retired
 	if a.cfg.UseDynamo {
-		a.dynamo.Tick(cycle)
+		next = min(next, a.dynamo.Retire(n, cycle))
 	}
+	return max(next, 1)
+}
+
+// FetchQuiet implements ooo.BoundaryScheme: with neither the Learning nor
+// the Tracking table armed, only an out-of-context conditional branch can
+// change ACB's state (by arming the tracker).
+func (a *ACB) FetchQuiet() bool {
+	return !a.learning.Occupied() && !a.tracking.Active()
 }
 
 // StorageBytes returns ACB's total hardware budget in bytes; the paper's
@@ -332,4 +346,4 @@ func (a *ACB) StorageReport() string {
 		a.StorageBytes())
 }
 
-var _ ooo.Scheme = (*ACB)(nil)
+var _ ooo.BoundaryScheme = (*ACB)(nil)

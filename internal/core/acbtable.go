@@ -51,24 +51,22 @@ func decProbM(bodySize int) int {
 // ACBTable is the 32-entry, 2-way set-associative table of learned
 // branches.
 type ACBTable struct {
-	sets    int
+	mask    int        // sets-1; the set count is a power of two
 	entries []ACBEntry // sets*2
 }
 
-// NewACBTable returns a table with the given total entries (even; the
-// paper uses 32, 2-way).
+// NewACBTable returns a table with the given total entries (twice a power
+// of two; the paper uses 32, 2-way).
 func NewACBTable(entries int) *ACBTable {
-	if entries < 2 || entries%2 != 0 {
-		panic("core: ACB table needs an even entry count")
+	sets := entries / 2
+	if entries%2 != 0 || sets < 1 || sets&(sets-1) != 0 {
+		panic("core: ACB table needs two ways of a power-of-two set count")
 	}
-	return &ACBTable{sets: entries / 2, entries: make([]ACBEntry, entries)}
+	return &ACBTable{mask: sets - 1, entries: make([]ACBEntry, entries)}
 }
 
 func (t *ACBTable) set(pc int) []ACBEntry {
-	s := (pc ^ (pc >> 7)) % t.sets
-	if s < 0 {
-		s += t.sets
-	}
+	s := (pc ^ (pc >> 7)) & t.mask
 	return t.entries[s*2 : s*2+2]
 }
 

@@ -102,16 +102,19 @@ func (d *Dynamo) Involve(e *ACBEntry) {
 	}
 }
 
-// Tick advances the monitor by one retired instruction at the given
-// cycle, closing epochs and applying FSM transitions at pair boundaries.
-func (d *Dynamo) Tick(cycle int64) {
-	d.retiredTotal++
-	d.epochRetired++
+// Retire advances the monitor by n retired instructions, the last of them
+// at the given cycle, closing epochs and applying FSM transitions at pair
+// boundaries. It returns how many more may retire before the current
+// epoch ends; n must not run past the epoch's end, because the boundary is
+// timed by the cycle of the retirement that reaches it.
+func (d *Dynamo) Retire(n, cycle int64) int64 {
+	d.retiredTotal += n
+	d.epochRetired += n
 	if d.epochStartCycle == 0 {
 		d.epochStartCycle = cycle
 	}
 	if d.epochRetired < d.cfg.EpochLen {
-		return
+		return d.cfg.EpochLen - d.epochRetired
 	}
 
 	// Epoch boundary.
@@ -137,6 +140,7 @@ func (d *Dynamo) Tick(cycle int64) {
 			e.Involvement = 0
 		})
 	}
+	return d.cfg.EpochLen
 }
 
 // judge compares an enable-epoch cycle count against the preceding

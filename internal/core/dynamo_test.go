@@ -7,7 +7,7 @@ import "testing"
 func tickEpoch(d *Dynamo, cfg DynamoConfig, startCycle, cycles int64) int64 {
 	perInst := float64(cycles) / float64(cfg.EpochLen)
 	for i := int64(0); i < cfg.EpochLen; i++ {
-		d.Tick(startCycle + int64(float64(i+1)*perInst))
+		d.Retire(1, startCycle+int64(float64(i+1)*perInst))
 	}
 	return startCycle + cycles
 }

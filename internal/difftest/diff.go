@@ -3,6 +3,7 @@ package difftest
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -37,6 +38,8 @@ func (f *forcedScheme) OnFetch(ooo.FetchEvent)           {}
 func (f *forcedScheme) OnFlush()                         {}
 func (f *forcedScheme) OnBranchResolve(ooo.ResolveEvent) {}
 func (f *forcedScheme) OnRetireTick(int64)               {}
+func (f *forcedScheme) OnRetire(int64, int64) int64      { return math.MaxInt64 }
+func (f *forcedScheme) FetchQuiet() bool                 { return true }
 
 // Engine is one column of the differential matrix: a scheme factory (nil
 // result = plain speculation baseline) plus an optional fault injection

@@ -19,6 +19,7 @@
 package dmp
 
 import (
+	"math"
 	"sort"
 
 	"acb/internal/bpu"
@@ -256,4 +257,11 @@ func (s *Scheme) OnBranchResolve(ev ooo.ResolveEvent) {
 // OnRetireTick implements ooo.Scheme.
 func (s *Scheme) OnRetireTick(int64) {}
 
-var _ ooo.Scheme = (*Scheme)(nil)
+// OnRetire implements ooo.BoundaryScheme: retirements change nothing, so
+// the core never needs to call again.
+func (s *Scheme) OnRetire(int64, int64) int64 { return math.MaxInt64 }
+
+// FetchQuiet implements ooo.BoundaryScheme: OnFetch is a no-op.
+func (s *Scheme) FetchQuiet() bool { return true }
+
+var _ ooo.BoundaryScheme = (*Scheme)(nil)

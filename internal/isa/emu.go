@@ -17,13 +17,16 @@ type Mem interface {
 // with CloneCOW share pages copy-on-write, so checkpointing a multi-MB
 // image costs one map copy instead of a byte copy.
 type Memory struct {
-	pages map[int64]*[pageWords]int64
-	// owned tracks the pages this memory may write in place. nil means
-	// every page is exclusively owned (a memory that never took part in a
-	// CloneCOW — the common case, with no per-store map lookup beyond it).
-	// Non-nil means pages absent from the set are shared with a COW
-	// sibling and must be copied before the first write.
-	owned map[int64]struct{}
+	pages map[int64]pageRef
+}
+
+// pageRef is one resident page. shared marks a page this memory may be
+// sharing with a COW sibling: it is copied before the first write, after
+// which the copy is this memory's own. Keeping the mark beside the page
+// pointer lets a store find both with one map lookup.
+type pageRef struct {
+	words  *[pageWords]int64
+	shared bool
 }
 
 const (
@@ -34,7 +37,7 @@ const (
 
 // NewMemory returns an empty memory; all words read as zero.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[int64]*[pageWords]int64)}
+	return &Memory{pages: make(map[int64]pageRef)}
 }
 
 // Load reads the 64-bit word containing byte address addr.
@@ -48,36 +51,30 @@ func (m *Memory) Load(addr int64) int64 {
 	if !ok {
 		return 0
 	}
-	return page[(addr&(pageBytes-1))/8]
+	return page.words[(addr&(pageBytes-1))/8]
 }
 
 // Store writes the 64-bit word containing byte address addr.
 func (m *Memory) Store(addr, val int64) {
 	idx := addr >> pageShift
 	page, ok := m.pages[idx]
-	if !ok {
-		page = new([pageWords]int64)
+	if !ok || page.shared {
+		w := new([pageWords]int64)
+		if ok {
+			*w = *page.words
+		}
+		page = pageRef{words: w}
 		m.pages[idx] = page
-		if m.owned != nil {
-			m.owned[idx] = struct{}{}
-		}
-	} else if m.owned != nil {
-		if _, own := m.owned[idx]; !own {
-			cp := *page
-			page = &cp
-			m.pages[idx] = page
-			m.owned[idx] = struct{}{}
-		}
 	}
-	page[(addr&(pageBytes-1))/8] = val
+	page.words[(addr&(pageBytes-1))/8] = val
 }
 
 // Clone returns a deep copy of the memory.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory()
 	for idx, page := range m.pages {
-		cp := *page
-		c.pages[idx] = &cp
+		cp := *page.words
+		c.pages[idx] = pageRef{words: &cp}
 	}
 	return c
 }
@@ -87,22 +84,18 @@ func (m *Memory) Clone() *Memory {
 // it privately. O(resident pages) map work instead of O(bytes), which is
 // what makes per-window checkpointing affordable for multi-MB footprints.
 //
-// Taking the snapshot marks all of the receiver's pages shared, so it
+// Taking the snapshot marks the receiver's unshared pages shared, so it
 // briefly mutates the receiver; concurrent CloneCOW calls are safe only on
 // a memory that is never stored to after its own snapshot was taken (e.g.
-// a Checkpoint's frozen image, whose owned set stays empty).
+// a Checkpoint's frozen image, whose pages are all marked shared already).
 func (m *Memory) CloneCOW() *Memory {
-	c := &Memory{
-		pages: make(map[int64]*[pageWords]int64, len(m.pages)),
-		owned: make(map[int64]struct{}),
-	}
+	c := &Memory{pages: make(map[int64]pageRef, len(m.pages))}
 	for idx, page := range m.pages {
+		if !page.shared {
+			page.shared = true
+			m.pages[idx] = page
+		}
 		c.pages[idx] = page
-	}
-	if m.owned == nil {
-		m.owned = make(map[int64]struct{})
-	} else if len(m.owned) > 0 {
-		clear(m.owned)
 	}
 	return c
 }
@@ -140,7 +133,7 @@ func (m *Memory) DiffWords(o *Memory, max int) []MemDiff {
 	var zero [pageWords]int64
 	var out []MemDiff
 	for _, idx := range idxs {
-		pa, pb := m.pages[idx], o.pages[idx]
+		pa, pb := m.pages[idx].words, o.pages[idx].words
 		if pa == pb {
 			continue // COW-shared (or both absent): identical by construction
 		}

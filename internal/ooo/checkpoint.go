@@ -20,21 +20,23 @@ import (
 // memory, PC — starts at ckpt instead of the program's entry. The
 // functional oracle and the committed image are copy-on-write snapshots of
 // the checkpoint's memory, so the caller may reuse ckpt freely (including
-// for concurrent window jobs). Microarchitectural
-// state (pipeline, caches, scheme tables) starts cold; callers warm the
-// predictor by passing one already trained on the fast-forwarded region
-// (bpu.Warm/Cloner) and the caches via WarmHierarchy, then hide the rest
-// of the cold-start transient behind RunWindow's warm-up span.
-func NewFromCheckpoint(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, ckpt *isa.Checkpoint) *Core {
-	c := New(cfg, program, predictor, scheme)
-	c.oracleMem = isa.NewOverlay(ckpt.Mem.CloneCOW())
-	c.oracle = isa.NewArchState(c.oracleMem)
+// for concurrent window jobs). hier is the core's data-cache hierarchy,
+// which it then owns: the continuous-warming path of sampled simulation
+// passes a clone of one hierarchy fed every architectural reference of
+// the fast-forwarded region (mem.Hierarchy.Clone); nil means a cold one.
+// The rest of the microarchitectural state (pipeline, scheme tables)
+// starts cold; callers warm the predictor by passing one already trained
+// on the fast-forwarded region (bpu.Warm/Cloner), and hide the rest of the
+// cold-start transient behind RunWindow's warm-up span.
+func NewFromCheckpoint(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, ckpt *isa.Checkpoint, hier *mem.Hierarchy) *Core {
+	c := newCore(cfg, program, predictor, scheme, hier)
+	c.setOracle(ckpt.Mem.CloneCOW())
 	c.oracle.PC = ckpt.PC
 	c.oracle.Regs = ckpt.Regs
 	c.commitMem = ckpt.Mem.CloneCOW()
 	c.fetchPC = ckpt.PC
 	// The initial RAT maps logical register r to physical register r
-	// (New); seeding those physical registers makes the checkpointed
+	// (newCore); seeding those physical registers makes the checkpointed
 	// values both readable by renamed consumers and visible as the
 	// committed state.
 	for r := 0; r < isa.NumRegs; r++ {
@@ -51,25 +53,13 @@ type MemRef struct {
 	Store bool
 }
 
-// SetHierarchy replaces the core's data-cache hierarchy with h — the
-// continuous-warming path of sampled simulation, where one hierarchy is
-// fed every architectural reference of the fast-forwarded region and each
-// window receives a clone of its state (mem.Hierarchy.Clone). Must be
-// called before the core first runs; swapping the hierarchy mid-run would
-// desynchronize in-flight load latencies from the tag state.
-func (c *Core) SetHierarchy(h *mem.Hierarchy) {
-	if c.cycle != 0 {
-		panic("ooo: SetHierarchy after the core has run")
-	}
-	c.hier = h
-}
-
 // WarmHierarchy replays an architectural access trace into the data-cache
 // hierarchy, installing tag state as if the references had executed — the
-// bounded-trace alternative to SetHierarchy when only a recent address
-// window is available. Hit/miss counters advance during the replay;
-// RunWindow's measured span reports deltas, so warming never leaks into
-// window statistics as long as it happens before the measured span begins.
+// bounded-trace alternative to passing a warmed hierarchy to
+// NewFromCheckpoint when only a recent address window is available.
+// Hit/miss counters advance during the replay; RunWindow's measured span
+// reports deltas, so warming never leaks into window statistics as long
+// as it happens before the measured span begins.
 func (c *Core) WarmHierarchy(refs []MemRef) {
 	for _, r := range refs {
 		if r.Store {

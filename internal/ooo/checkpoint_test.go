@@ -2,11 +2,13 @@ package ooo
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"acb/internal/bpu"
 	"acb/internal/config"
 	"acb/internal/isa"
+	"acb/internal/mem"
 )
 
 // TestNewFromCheckpointResumesToSameState fast-forwards functionally to the
@@ -34,7 +36,7 @@ func TestNewFromCheckpointResumesToSameState(t *testing.T) {
 	}
 	ck := st.Checkpoint(mid)
 
-	resumed := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	resumed := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	res, err := resumed.Run(1 << 30)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
@@ -63,7 +65,7 @@ func TestRunWindowDeltas(t *testing.T) {
 	st.Run(prog, 3000)
 	ck := st.Checkpoint(3000)
 
-	c := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	c := NewFromCheckpoint(cfg, prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	const warmup, measure = 500, 1000
 	res, err := c.RunWindow(context.Background(), warmup, measure)
 	if err != nil {
@@ -112,13 +114,13 @@ func TestWarmHierarchyPrimesCaches(t *testing.T) {
 	st.Run(prog, 100)
 	ck := st.Checkpoint(100)
 
-	cold := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	cold := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	coldRes, err := cold.RunWindow(context.Background(), 0, 800)
 	if err != nil {
 		t.Fatalf("cold window: %v", err)
 	}
 
-	warmCore := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck)
+	warmCore := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, nil)
 	var refs []MemRef
 	for a := int64(0x1000); a < 0x1000+256*8; a += 8 {
 		refs = append(refs, MemRef{Addr: a})
@@ -130,5 +132,20 @@ func TestWarmHierarchyPrimesCaches(t *testing.T) {
 	}
 	if warmRes.L1Misses >= coldRes.L1Misses {
 		t.Fatalf("warming did not reduce L1 misses: warm %d, cold %d", warmRes.L1Misses, coldRes.L1Misses)
+	}
+
+	// A hierarchy warmed outside the core and handed over at construction
+	// (sampled simulation's continuous-warming path) behaves the same.
+	hier := mem.NewHierarchy(config.Skylake().Mem)
+	for _, r := range refs {
+		hier.LoadLatency(r.Addr)
+	}
+	given := NewFromCheckpoint(config.Skylake(), prog, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, ck, hier)
+	givenRes, err := given.RunWindow(context.Background(), 0, 800)
+	if err != nil {
+		t.Fatalf("given-hierarchy window: %v", err)
+	}
+	if !reflect.DeepEqual(givenRes, warmRes) {
+		t.Fatalf("warmed hierarchy passed at construction: %+v, want %+v", givenRes, warmRes)
 	}
 }

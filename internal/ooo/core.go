@@ -138,17 +138,26 @@ type Core struct {
 	prog   []isa.Instruction
 	pred   bpu.Predictor
 	hier   *mem.Hierarchy
-	scheme Scheme
+	scheme BoundaryScheme // nil = baseline; plain schemes come adapted
+
+	// retireLeft counts useful retirements down to the scheme's next
+	// OnRetire call; retireBatch is the count that call reports (the value
+	// the previous call returned).
+	retireLeft  int64
+	retireBatch int64
+	// fetchQuiet caches the scheme's FetchQuiet answer; it is refreshed
+	// after every call that may end the quiet state.
+	fetchQuiet bool
 
 	rob      *rob
-	rat      [isa.NumRegs]int
+	rat      regMap
 	prf      []prfEntry
 	freeList []int
 
 	// commitRat is the retirement (architectural) register map: updated
 	// only when instructions retire, so Result.FinalRegs reflects
 	// committed state even when the run stops with work in flight.
-	commitRat [isa.NumRegs]int
+	commitRat regMap
 
 	// The issue queue. iqLen counts its entries; runnable is a bitmap over
 	// the ROB ring's slots marking the entries the issue scan should try.
@@ -201,6 +210,18 @@ type Core struct {
 	pendingSwtch bool
 	ctxIDGen     int64
 
+	// ctxs is the context ring (nil without a scheme): slot idx&ctxMask
+	// holds the context with allocation index idx. ctxAlloc is the next
+	// allocation index; a flush rewinds it past the squashed contexts.
+	// forks parallels ctxs for eager contexts' forked RATs and is
+	// allocated with the first eager context.
+	ctxs     []ctxState
+	ctxMask  int64
+	ctxAlloc int64
+	forks    []ratFork
+
+	// liveCtxs lists, in fetch order, the contexts whose predicated
+	// branch has not retired.
 	liveCtxs []*ctxState
 
 	// Functional oracle (architecturally-correct execution running ahead
@@ -336,6 +357,26 @@ func (r *Result) FlushPerKilo() float64 {
 // New builds a core for the program with the given configuration,
 // predictor and optional predication scheme (nil = plain speculation).
 func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme) *Core {
+	c := newCore(cfg, program, predictor, scheme, nil)
+	c.setOracle(isa.NewMemory())
+	return c
+}
+
+// NewWithMemory is New with an initial memory image. The oracle receives a
+// private copy-on-write snapshot (it runs ahead of retirement), so only
+// the pages it writes are copied; the committed memory keeps the original.
+// Callers must not reuse the image afterwards.
+func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
+	c := newCore(cfg, program, predictor, scheme, nil)
+	c.setOracle(image.CloneCOW())
+	c.commitMem = image
+	return c
+}
+
+// newCore builds everything but the architectural memory, which each
+// constructor supplies through setOracle. A nil hier means a cold
+// hierarchy built from cfg.Mem.
+func newCore(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, hier *mem.Hierarchy) *Core {
 	fqCap := cfg.FetchWidth * cfg.FrontEndLatency
 	if fqCap < 1 {
 		fqCap = 1
@@ -346,51 +387,64 @@ func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, sc
 	maxLat := maxSchedLatency(cfg)
 	compStore := ceilPow2(maxLat + 1)
 	rob := newROB(cfg.ROBSize)
+	if hier == nil {
+		hier = mem.NewHierarchy(cfg.Mem)
+	}
 	c := &Core{
-		cfg:        cfg,
-		prog:       program,
-		pred:       predictor,
-		hier:       mem.NewHierarchy(cfg.Mem),
-		scheme:     scheme,
-		rob:        rob,
-		prf:        make([]prfEntry, cfg.PRFSize),
-		fetchQ:     make([]fetchedInst, fqStore),
-		fetchQCap:  fqCap,
-		fqMask:     fqStore - 1,
-		compRing:   make([][]entryRef, compStore),
-		compMask:   int64(compStore - 1),
-		compMaxLat: maxLat,
-		runnable:   make([]uint64, (len(rob.entries)+63)/64),
-		waits:      newWaitLists(len(rob.entries)),
-		regHead:    make([]int32, cfg.PRFSize),
-		regOf:      make([]int32, len(rob.entries)),
-		perPC:      make(map[int]*BranchStat),
-		haltSeq:    -1,
+		cfg:         cfg,
+		prog:        program,
+		pred:        predictor,
+		hier:        hier,
+		scheme:      boundaryScheme(scheme),
+		retireLeft:  1,
+		retireBatch: 1,
+		rob:         rob,
+		prf:         make([]prfEntry, cfg.PRFSize),
+		fetchQ:      make([]fetchedInst, fqStore),
+		fetchQCap:   fqCap,
+		fqMask:      fqStore - 1,
+		compRing:    make([][]entryRef, compStore),
+		compMask:    int64(compStore - 1),
+		compMaxLat:  maxLat,
+		runnable:    make([]uint64, (len(rob.entries)+63)/64),
+		waits:       newWaitLists(len(rob.entries)),
+		regHead:     make([]int32, cfg.PRFSize),
+		regOf:       make([]int32, len(rob.entries)),
+		perPC:       make(map[int]*BranchStat),
+		haltSeq:     -1,
+	}
+	if scheme != nil {
+		c.fetchQuiet = c.scheme.FetchQuiet()
+		n := ceilPow2(ctxRingSize(cfg.ROBSize, fqCap))
+		c.ctxs = make([]ctxState, n)
+		c.ctxMask = int64(n - 1)
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		c.rat[r] = r
-		c.commitRat[r] = r
+		c.rat[r] = int32(r)
+		c.commitRat[r] = int32(r)
 		c.prf[r].ready = true
 	}
 	for p := isa.NumRegs; p < cfg.PRFSize; p++ {
 		c.freeList = append(c.freeList, p)
 	}
-	base := isa.NewMemory()
-	c.oracleMem = isa.NewOverlay(base)
-	c.oracle = isa.NewArchState(c.oracleMem)
 	return c
 }
 
-// NewWithMemory is New with an initial memory image. The oracle receives a
-// private clone (it runs ahead of retirement); the committed memory keeps
-// the original. Callers must not reuse the image afterwards.
-func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
-	c := New(cfg, program, predictor, scheme)
-	c.oracleMem = isa.NewOverlay(image.Clone())
+// setOracle points the functional oracle at m, which it then owns.
+func (c *Core) setOracle(m isa.Mem) {
+	c.oracleMem = isa.NewOverlay(m)
 	c.oracle = isa.NewArchState(c.oracleMem)
-	c.commitMem = image
-	return c
 }
+
+// ctxRingSize bounds the predication contexts that can be live at once.
+// A context is named only by instructions fetched no later than the next
+// context's predicated branch (its own branch and body, its select
+// micro-ops, and the ctxClose mark on the first instruction after it), so
+// once a younger context's branch retires the older one is dead. Every
+// live context but the oldest therefore has its predicated branch in the
+// fetch queue or the ROB, and the oldest may outlive its own branch: one
+// slot per ROB entry and fetch-queue slot, plus one.
+func ctxRingSize(robSize, fqCap int) int { return robSize + fqCap + 1 }
 
 // maxSchedLatency returns the largest completion latency issueStage can
 // ever schedule under cfg: the full-miss DRAM path, any individual cache
@@ -444,6 +498,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	if c.commitMem == nil {
 		c.commitMem = isa.NewMemory()
 	}
+	defer c.reportRetired()
 	// Per-cycle observers see every cycle individually, so event-driven
 	// skipping is enabled only on bare runs (the throughput path).
 	skippable := c.pipe == nil && c.cpi == nil && c.trace == nil
@@ -482,6 +537,20 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 		}
 	}
 	return c.result(halted), nil
+}
+
+// reportRetired hands the scheme the retirements counted since its last
+// OnRetire call, so its state is whole when a run returns. No scheme
+// boundary lies among them (the countdown has not reached zero), so the
+// partial count is exact.
+func (c *Core) reportRetired() {
+	if c.scheme == nil {
+		return
+	}
+	if n := c.retireBatch - c.retireLeft; n > 0 {
+		c.retireBatch = c.scheme.OnRetire(n, c.cycle)
+		c.retireLeft = c.retireBatch
+	}
 }
 
 // skipToNextEvent advances the clock over a quiescent stretch: when no

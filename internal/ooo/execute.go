@@ -220,9 +220,13 @@ func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 	}
 
 	// Prune contexts and oracle snapshots younger than the flush point.
+	// Contexts open in fetch order and every squashed one is still live,
+	// so the squashed contexts are the youngest ring allocations: rewind
+	// the ring to the oldest of them.
 	live := c.liveCtxs[:0]
 	for _, ctx := range c.liveCtxs {
 		if ctx != e.ctx && (ctx.branchSeq < 0 || ctx.branchSeq > e.seq) {
+			c.ctxAlloc = min(c.ctxAlloc, ctx.idx)
 			continue // squashed
 		}
 		live = append(live, ctx)
@@ -239,5 +243,6 @@ func (c *Core) flushAfter(e *robEntry, redirectPC int) {
 
 	if c.scheme != nil {
 		c.scheme.OnFlush()
+		c.fetchQuiet = c.scheme.FetchQuiet()
 	}
 }

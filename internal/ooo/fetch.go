@@ -167,15 +167,23 @@ func (c *Core) fetchBranch(pc int, inst *isa.Instruction, fi *fetchedInst, trueK
 // correct-path contexts it snapshots the oracle and scans the
 // architecturally-correct path to the reconvergence point.
 func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fetchedInst) {
+	// Take the next ring slot; the ring is sized by ctxRingSize, so its
+	// previous occupant is dead.
+	ctx := &c.ctxs[c.ctxAlloc&c.ctxMask]
 	c.ctxIDGen++
-	ctx := &ctxState{
+	*ctx = ctxState{
 		id:        c.ctxIDGen,
+		idx:       c.ctxAlloc,
 		spec:      spec,
 		branchPC:  pc,
 		branchSeq: -1,
 		wrongPath: c.onWrongPath,
 		tok:       c.newTok(),
 		reconHint: -1,
+	}
+	c.ctxAlloc++
+	if spec.Eager && c.forks == nil {
+		c.forks = make([]ratFork, len(c.ctxs))
 	}
 	fi.role = RolePredBranch
 	fi.ctx = ctx
@@ -238,6 +246,9 @@ func (c *Core) openCtx(pc int, spec PredSpec, trueKnown, trueTaken bool, fi *fet
 		c.ctxWalkTaken = false
 	}
 }
+
+// fork returns an eager context's forked RATs.
+func (c *Core) fork(ctx *ctxState) *ratFork { return &c.forks[ctx.idx&c.ctxMask] }
 
 // fetchCtxSlot advances the dual-path walk by one instruction (or one
 // phase transition, which consumes no fetch slot).
@@ -375,19 +386,25 @@ func (c *Core) pushFetch(fi *fetchedInst) {
 }
 
 // emitFetchEvent feeds the believed-correct-path fetch stream to the
-// predication scheme's learning structures.
+// predication scheme's learning structures; while the scheme is quiet,
+// only out-of-context conditional branches go out (see BoundaryScheme).
 func (c *Core) emitFetchEvent(fi *fetchedInst, taken bool, target int) {
 	if c.scheme == nil || fi.wrongPath {
 		return
 	}
+	isBranch := fi.inst.Op == isa.Br
+	if c.fetchQuiet && (!isBranch || fi.ctx != nil) {
+		return
+	}
 	c.scheme.OnFetch(FetchEvent{
 		PC:        fi.pc,
-		IsBranch:  fi.inst.Op == isa.Br,
+		IsBranch:  isBranch,
 		IsControl: fi.inst.IsControl(),
 		Taken:     taken,
 		Target:    target,
 		InContext: fi.ctx != nil,
 	})
+	c.fetchQuiet = c.scheme.FetchQuiet()
 }
 
 // evalBranchOn evaluates a conditional branch's condition against a

@@ -82,9 +82,10 @@ func (c *Core) renameOne(fi *fetchedInst) {
 	// Eager fork: the second fetched path renames against the RAT as it
 	// was at the predicated branch (DMP's forked RAT).
 	if fi.ctxSwitch && fi.ctx != nil && fi.ctx.spec.Eager {
-		fi.ctx.rat1 = c.rat
+		f := c.fork(fi.ctx)
+		f.rat1 = c.rat
 		fi.ctx.haveRAT1 = true
-		c.rat = fi.ctx.rat0
+		c.rat = f.rat0
 	}
 
 	e := c.rob.alloc()
@@ -119,24 +120,24 @@ func (c *Core) renameOne(fi *fetchedInst) {
 	if fi.role == RolePredBranch && fi.ctx != nil {
 		fi.ctx.branchSeq = e.seq
 		if fi.ctx.spec.Eager {
-			fi.ctx.rat0 = c.rat
+			c.fork(fi.ctx).rat0 = c.rat
 		}
 	}
 
 	srcs, n := fi.inst.Sources()
 	for i := 0; i < n; i++ {
-		e.src[i] = c.rat[srcs[i]]
+		e.src[i] = int(c.rat[srcs[i]])
 	}
 	e.nsrc = n
 
 	if fi.inst.HasDest() {
 		d := fi.inst.Rd
-		e.prevPhys = c.rat[d]
+		e.prevPhys = int(c.rat[d])
 		p := c.popFree()
 		e.dest = p
 		c.prf[p] = prfEntry{}
-		c.rat[d] = p
-		if e.role == RoleBody && e.ctx != nil && e.ctx.spec.Eager && e.prevPhys == e.ctx.rat0[d] {
+		c.rat[d] = int32(p)
+		if e.role == RoleBody && e.ctx != nil && e.ctx.spec.Eager && e.prevPhys == int(c.fork(e.ctx).rat0[d]) {
 			e.skipPrevFree = true
 		}
 	}
@@ -164,40 +165,41 @@ func (c *Core) renameOne(fi *fetchedInst) {
 // (DMP's select-µop merge; these consume allocation bandwidth, which is
 // the cost the paper's Fig. 10 measures).
 func (c *Core) buildSelects(ctx *ctxState) {
-	var pA, pB [isa.NumRegs]int
+	f := c.fork(ctx)
+	var pA, pB regMap
 	if ctx.haveRAT1 {
-		pA = ctx.rat1 // end of first fetched path
-		pB = c.rat    // end of second fetched path
+		pA = f.rat1 // end of first fetched path
+		pB = c.rat  // end of second fetched path
 	} else {
 		pA = c.rat // only path fetched
-		pB = ctx.rat0
+		pB = f.rat0
 	}
-	var ratT, ratN [isa.NumRegs]int
+	var ratT, ratN regMap
 	if ctx.spec.FirstTaken {
 		ratT, ratN = pA, pB
 	} else {
 		ratT, ratN = pB, pA
 	}
 	for r := 0; r < isa.NumRegs; r++ {
-		if ratT[r] == ctx.rat0[r] && ratN[r] == ctx.rat0[r] {
+		if ratT[r] == f.rat0[r] && ratN[r] == f.rat0[r] {
 			continue
 		}
 		ss := selectSpec{
 			ctx:  ctx,
 			log:  isa.Reg(r),
-			selT: ratT[r],
-			selN: ratN[r],
+			selT: int(ratT[r]),
+			selN: int(ratN[r]),
 		}
-		for _, p := range [maxFreeOnRetire]int{ratT[r], ratN[r], ctx.rat0[r]} {
+		for _, p := range [maxFreeOnRetire]int32{ratT[r], ratN[r], f.rat0[r]} {
 			dup := false
 			for i := 0; i < int(ss.nFree); i++ {
-				if int(ss.frees[i]) == p {
+				if ss.frees[i] == p {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				ss.frees[ss.nFree] = int32(p)
+				ss.frees[ss.nFree] = p
 				ss.nFree++
 			}
 		}
@@ -224,7 +226,7 @@ func (c *Core) allocSelect(ss *selectSpec) bool {
 	p := c.popFree()
 	e.dest = p
 	c.prf[p] = prfEntry{}
-	c.rat[ss.log] = p
+	c.rat[ss.log] = int32(p)
 	c.enqueueIQ(e)
 	c.s.allocations++
 	c.s.selectUops++

@@ -9,7 +9,8 @@ import (
 // retireStage commits up to RetireWidth completed instructions in order:
 // stores write the committed memory and cache, branch predictors train,
 // physical registers free, and the predication scheme observes resolved
-// branches and retirement ticks (Dynamo's epoch clock). It returns true
+// branches and, at the boundaries it asks for, the retirement count
+// (Dynamo's epoch clock). It returns true
 // when the program's Halt retires.
 func (c *Core) retireStage() bool {
 	for n := 0; n < c.cfg.RetireWidth; n++ {
@@ -55,9 +56,9 @@ func (c *Core) retireStage() bool {
 			e.ctx.branchDone && e.pathTaken != e.ctx.branchTaken
 		if e.dest >= 0 && !discarded {
 			if e.role == RoleSelect {
-				c.commitRat[e.selLog] = e.dest
+				c.commitRat[e.selLog] = int32(e.dest)
 			} else if e.inst != nil && e.inst.HasDest() {
-				c.commitRat[e.inst.Rd] = e.dest
+				c.commitRat[e.inst.Rd] = int32(e.dest)
 			}
 		}
 		if e.dest >= 0 && e.prevPhys >= 0 && !e.skipPrevFree {
@@ -85,7 +86,10 @@ func (c *Core) retireStage() bool {
 		if useful {
 			c.retired++
 			if c.scheme != nil {
-				c.scheme.OnRetireTick(c.cycle)
+				if c.retireLeft--; c.retireLeft == 0 {
+					c.retireBatch = c.scheme.OnRetire(c.retireBatch, c.cycle)
+					c.retireLeft = c.retireBatch
+				}
 			}
 		}
 		if halt {
@@ -146,6 +150,7 @@ func (c *Core) retireBranch(e *robEntry) {
 				BodyStallCycles: ctx.bodyStalls,
 				Hist:            e.histAtFetch,
 			})
+			c.fetchQuiet = c.scheme.FetchQuiet()
 		}
 		// No predictor update: no prediction was made for this instance
 		// and it is absent from the global history (Sec. V-C).
@@ -169,6 +174,7 @@ func (c *Core) retireBranch(e *robEntry) {
 				Hist:       e.histAtFetch,
 				PredTaken:  e.predTaken,
 			})
+			c.fetchQuiet = c.scheme.FetchQuiet()
 		}
 		if e.hasPred {
 			c.pred.Update(uint64(e.pc), e.pred, e.resolvedTaken)

@@ -9,6 +9,11 @@ import (
 // micro-op can release: dedupPhys over {ratT[r], ratN[r], rat0[r]}.
 const maxFreeOnRetire = 3
 
+// regMap is a register alias table: the physical register each logical
+// register maps to. int32 entries halve the checkpoint every control
+// instruction copies.
+type regMap [isa.NumRegs]int32
+
 // robEntry is one in-flight instruction (or injected select micro-op).
 type robEntry struct {
 	valid bool
@@ -30,7 +35,7 @@ type robEntry struct {
 	prevPhys int // previous mapping of the destination logical register
 	src      [2]int
 	nsrc     int
-	ratCkpt  [isa.NumRegs]int // RAT checkpoint (control instructions)
+	ratCkpt  regMap // RAT checkpoint (control instructions)
 	hasCkpt  bool
 
 	// Branch prediction state.

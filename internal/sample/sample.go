@@ -338,10 +338,7 @@ func Run(prog []isa.Instruction, image *isa.Memory, plan Plan, opts Options) (*E
 		if opts.NewScheme != nil {
 			scheme = opts.NewScheme()
 		}
-		c := ooo.NewFromCheckpoint(opts.Config, prog, w.pred, scheme, w.ckpt)
-		if w.hier != nil {
-			c.SetHierarchy(w.hier)
-		}
+		c := ooo.NewFromCheckpoint(opts.Config, prog, w.pred, scheme, w.ckpt, w.hier)
 		res, err := c.RunWindow(opts.Context, w.warmup, w.measure)
 		if err != nil {
 			errs[i] = fmt.Errorf("sample: window %d (start %d): %w", i, w.start, err)

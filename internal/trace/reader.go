@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"acb/internal/isa"
 )
@@ -97,7 +98,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 				return nil, err
 			}
 		case blockBranch:
-			if err := tr.decodeBranchBlock(payload); err != nil {
+			if err := tr.decodePending(payload); err != nil {
 				return nil, err
 			}
 			return tr, nil
@@ -207,25 +208,41 @@ func decodeMerges(payload []byte, p []isa.Instruction) (map[int]int, error) {
 	return mp, nil
 }
 
-func (tr *Reader) decodeBranchBlock(payload []byte) error {
+// decodePending decodes one branch block into the pending buffer Read
+// drains.
+func (tr *Reader) decodePending(payload []byte) (err error) {
+	tr.next = 0
+	tr.pending, err = tr.decodeBranches(tr.pending[:0], payload)
+	return err
+}
+
+// branchCount returns the record count a branch block declares and a
+// cursor positioned at its first record.
+func branchCount(payload []byte) (*payloadCursor, int, error) {
 	c := &payloadCursor{buf: payload}
 	n, err := c.uvarint()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
 	// Every record costs at least one payload byte.
 	if n > uint64(c.remaining()) {
-		return fmt.Errorf("trace: branch record count %d exceeds payload", n)
+		return nil, 0, fmt.Errorf("trace: branch record count %d exceeds payload", n)
 	}
-	if cap(tr.pending) < int(n) {
-		tr.pending = make([]Branch, 0, n)
+	return c, int(n), nil
+}
+
+// decodeBranches appends the records of one branch block to dst, growing
+// it at most once.
+func (tr *Reader) decodeBranches(dst []Branch, payload []byte) ([]Branch, error) {
+	c, n, err := branchCount(payload)
+	if err != nil {
+		return dst, err
 	}
-	tr.pending = tr.pending[:0]
-	tr.next = 0
-	for i := uint64(0); i < n; i++ {
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
 		key, err := c.uvarint()
 		if err != nil {
-			return err
+			return dst, err
 		}
 		taken := key&1 != 0
 		pc := tr.prevPC + int(unzigzag(key>>1))
@@ -233,27 +250,27 @@ func (tr *Reader) decodeBranchBlock(payload []byte) error {
 		if taken {
 			td, err := c.varint()
 			if err != nil {
-				return err
+				return dst, err
 			}
 			target = pc + 1 + int(td)
 		}
 		if tr.prog != nil {
 			if pc < 0 || pc >= len(tr.prog) {
-				return fmt.Errorf("trace: branch record PC %d outside program [0,%d)", pc, len(tr.prog))
+				return dst, fmt.Errorf("trace: branch record PC %d outside program [0,%d)", pc, len(tr.prog))
 			}
 			in := &tr.prog[pc]
 			if !in.IsBranch() {
-				return fmt.Errorf("trace: branch record at PC %d, but instruction is %s", pc, in)
+				return dst, fmt.Errorf("trace: branch record at PC %d, but instruction is %s", pc, in)
 			}
 			if taken && target != in.Target {
-				return fmt.Errorf("trace: branch record at PC %d has target %d, program says %d", pc, target, in.Target)
+				return dst, fmt.Errorf("trace: branch record at PC %d has target %d, program says %d", pc, target, in.Target)
 			}
 		}
-		tr.pending = append(tr.pending, Branch{PC: pc, Taken: taken, Target: target})
+		dst = append(dst, Branch{PC: pc, Taken: taken, Target: target})
 		tr.prevPC = pc
 	}
 	tr.total += int64(n)
-	return c.done()
+	return dst, c.done()
 }
 
 func (tr *Reader) finish(payload []byte) error {
@@ -300,7 +317,7 @@ func (tr *Reader) Read() (Branch, error) {
 		}
 		switch typ {
 		case blockBranch:
-			if err := tr.decodeBranchBlock(payload); err != nil {
+			if err := tr.decodePending(payload); err != nil {
 				return Branch{}, err
 			}
 		case blockEnd:
@@ -359,7 +376,9 @@ type Trace struct {
 // Memory materializes a fresh copy of the initial memory image.
 func (t *Trace) Memory() *isa.Memory { return buildMemory(t.mem) }
 
-// Decode reads and validates an entire trace file.
+// Decode reads and validates an entire trace file. Branches is sized
+// exactly: the branch blocks after the first are read raw, their declared
+// record counts summed, and then decoded into one allocation.
 func Decode(r io.Reader) (*Trace, error) {
 	tr, err := NewReader(r)
 	if err != nil {
@@ -371,15 +390,38 @@ func Decode(r io.Reader) (*Trace, error) {
 		Merges: tr.MergePoints(),
 		mem:    tr.mem,
 	}
-	for {
-		b, err := tr.Read()
-		if err == io.EOF {
-			break
+	if !tr.done {
+		n := len(tr.pending)
+		var blocks [][]byte
+		var end []byte
+		for ended := false; !ended; {
+			typ, payload, err := tr.readBlock()
+			if err != nil {
+				return nil, err
+			}
+			switch typ {
+			case blockBranch:
+				_, k, err := branchCount(payload)
+				if err != nil {
+					return nil, err
+				}
+				n += k
+				blocks = append(blocks, payload)
+			case blockEnd:
+				end, ended = payload, true
+			default:
+				return nil, fmt.Errorf("trace: block type %d after branch records", typ)
+			}
 		}
-		if err != nil {
+		t.Branches = append(make([]Branch, 0, n), tr.pending...)
+		for _, p := range blocks {
+			if t.Branches, err = tr.decodeBranches(t.Branches, p); err != nil {
+				return nil, err
+			}
+		}
+		if err := tr.finish(end); err != nil {
 			return nil, err
 		}
-		t.Branches = append(t.Branches, b)
 	}
 	_, t.Steps, t.Halted, _ = tr.Summary()
 	return t, nil

@@ -32,11 +32,9 @@ func Record(w io.Writer, p []isa.Instruction, mem *isa.Memory, maxSteps int64, h
 		return 0, false, err
 	}
 	st := isa.NewArchState(mem.Clone())
-	steps, halted = st.RunHooked(p, maxSteps, func(res *isa.StepResult) {
-		if res.Inst.Op == isa.Br {
-			tw.Branch(res.PC, res.Taken, res.Inst.Target) // sticky error, checked at Close
-		}
-	})
+	steps, halted = st.RunFeed(p, maxSteps, func(pc int, taken bool) {
+		tw.Branch(pc, taken, p[pc].Target) // sticky error, checked at Close
+	}, nil)
 	if err := tw.Close(steps, halted); err != nil {
 		return steps, halted, err
 	}
@@ -94,8 +92,8 @@ func (t *Trace) Verify() error {
 	var verr error
 	i := 0
 	st := isa.NewArchState(t.Memory())
-	steps, halted := st.RunHooked(t.Prog, t.Steps, func(res *isa.StepResult) {
-		if verr != nil || res.Inst.Op != isa.Br {
+	steps, halted := st.RunFeed(t.Prog, t.Steps, func(pc int, taken bool) {
+		if verr != nil {
 			return
 		}
 		if i >= len(t.Branches) {
@@ -103,13 +101,13 @@ func (t *Trace) Verify() error {
 			return
 		}
 		b := t.Branches[i]
-		if b.PC != res.PC || b.Taken != res.Taken {
+		if b.PC != pc || b.Taken != taken {
 			verr = fmt.Errorf("trace: verify: branch %d is pc=%d taken=%v, recorded pc=%d taken=%v",
-				i, res.PC, res.Taken, b.PC, b.Taken)
+				i, pc, taken, b.PC, b.Taken)
 			return
 		}
 		i++
-	})
+	}, nil)
 	if verr != nil {
 		return verr
 	}

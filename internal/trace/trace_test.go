@@ -106,7 +106,11 @@ func TestBranchStreamMatchesEmulator(t *testing.T) {
 	}
 	st := isa.NewArchState(mem.Clone())
 	var got []Branch
-	st.RunHooked(insts, 1<<20, func(res *isa.StepResult) {
+	for n := 0; n < 1<<20; n++ {
+		res := st.Step(insts)
+		if res.Halted {
+			break
+		}
 		if res.Inst.Op == isa.Br {
 			b := Branch{PC: res.PC, Taken: res.Taken, Target: res.PC + 1}
 			if res.Taken {
@@ -114,7 +118,7 @@ func TestBranchStreamMatchesEmulator(t *testing.T) {
 			}
 			got = append(got, b)
 		}
-	})
+	}
 	if !reflect.DeepEqual(got, tr.Branches) {
 		t.Fatalf("decoded branch stream differs from emulator (got %d records, want %d)", len(tr.Branches), len(got))
 	}
