@@ -15,13 +15,9 @@ import (
 	"fmt"
 	"testing"
 
-	"acb/internal/bpu"
-	"acb/internal/config"
 	"acb/internal/core"
 	"acb/internal/experiments"
-	"acb/internal/ooo"
 	"acb/internal/stats"
-	"acb/internal/workload"
 )
 
 // acbTables gates the experiment-table dumps: benchmarks are silent by
@@ -245,30 +241,6 @@ func BenchmarkSensitivityPredictor(b *testing.B) {
 // learning and allocating multiple reconvergence points").
 func BenchmarkMultiRecon(b *testing.B) {
 	benchExperiment(b, experiments.MultiRecon)
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed
-// (cycles and instructions simulated per wall second) on one compute-bound
-// workload — the harness's own cost model.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := workload.ByName("gobmk")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	var retired, cycles int64
-	for i := 0; i < b.N; i++ {
-		p, m := w.Build()
-		c := ooo.NewWithMemory(config.Skylake(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, m)
-		res, err := c.Run(200_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		retired += res.Retired
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(retired)/b.Elapsed().Seconds(), "instr/s")
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
 // BenchmarkAblationThrottle — Dynamo vs the paper's rejected pre-Dynamo

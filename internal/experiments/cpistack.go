@@ -95,7 +95,9 @@ func (a *CPIAccumulator) Schemes() []string {
 // per-run stacked bars.
 func CPIStackExperiment(opts Options) *stats.Table {
 	opts.fill()
-	opts.CollectCPI = true
+	if opts.CPIStats == nil {
+		opts.CPIStats = NewCPIAccumulator()
+	}
 	kinds := []SchemeKind{SchemeBaseline, SchemeACB}
 	res := sweep(opts, kinds...)
 

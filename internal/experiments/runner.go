@@ -46,14 +46,10 @@ type Options struct {
 	// Stats, when non-nil, accumulates runner totals across every pool
 	// executed with these Options (acbsweep prints it after an -all run).
 	Stats *RunnerStats
-	// CollectCPI enables per-cycle CPI-stack attribution on every
-	// simulation (see ooo.CPIStack); results carry it in ooo.Result.CPI.
-	// Off by default: attribution costs a few branches per simulated
-	// cycle.
-	CollectCPI bool
-	// CPIStats, when non-nil, accumulates per-scheme CPI bucket totals
-	// across every simulation run with these Options (implies
-	// CollectCPI); the acbd service exposes the totals on /v1/metrics.
+	// CPIStats, when non-nil, enables per-cycle CPI-stack attribution on
+	// every simulation run with these Options (see ooo.CPIStack; results
+	// carry it in ooo.Result.CPI) and accumulates the per-scheme bucket
+	// totals; the acbd service exposes them on /v1/metrics.
 	CPIStats *CPIAccumulator
 	// Context, when non-nil, cancels the run cooperatively: queued
 	// simulations are skipped and in-flight ones stop mid-run (see
@@ -441,7 +437,7 @@ func runOne(opts *Options, cache *profileCache, w *workload.Workload, kind Schem
 // feeds the CPI stack and cycle totals to opts.CPIStats and opts.Stats,
 // and logs one line labelled name and kind.
 func simulate(opts *Options, c *ooo.Core, name, kind string) ooo.Result {
-	if opts.CollectCPI || opts.CPIStats != nil {
+	if opts.CPIStats != nil {
 		c.EnableCPIStack()
 	}
 	res, err := c.RunContext(opts.Context, opts.Budget)
@@ -451,7 +447,7 @@ func simulate(opts *Options, c *ooo.Core, name, kind string) ooo.Result {
 		// cancellation stays errors.Is-able all the way up.
 		panic(fmt.Errorf("experiments: %s/%s: %w", name, kind, err))
 	}
-	if opts.CPIStats != nil && res.CPI != nil {
+	if opts.CPIStats != nil {
 		opts.CPIStats.Add(res.Scheme, res.CPI)
 	}
 	if opts.Stats != nil {

@@ -258,7 +258,7 @@ type Core struct {
 	// nextEventCycle). stallSlotsThisCycle records the rename stall slots
 	// a stalled-but-quiescent cycle repeats, so skipping replays them
 	// exactly; the gated-body counts (ctxState.gated) do the same for the
-	// issue stage.
+	// issue stage, and the attached observers replay their samples.
 	progress            bool
 	stallSlotsThisCycle int64
 
@@ -354,18 +354,12 @@ func (r *Result) FlushPerKilo() float64 {
 	return float64(r.Flushes) * 1000 / float64(r.Retired)
 }
 
-// New builds a core for the program with the given configuration,
-// predictor and optional predication scheme (nil = plain speculation).
-func New(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme) *Core {
-	c := newCore(cfg, program, predictor, scheme, nil)
-	c.setOracle(isa.NewMemory())
-	return c
-}
-
-// NewWithMemory is New with an initial memory image. The oracle receives a
-// private copy-on-write snapshot (it runs ahead of retirement), so only
-// the pages it writes are copied; the committed memory keeps the original.
-// Callers must not reuse the image afterwards.
+// NewWithMemory builds a core for the program with the given
+// configuration, predictor, optional predication scheme (nil = plain
+// speculation) and initial memory image. The oracle receives a private
+// copy-on-write snapshot (it runs ahead of retirement), so only the pages
+// it writes are copied; the committed memory keeps the original. Callers
+// must not reuse the image afterwards.
 func NewWithMemory(cfg config.Core, program []isa.Instruction, predictor bpu.Predictor, scheme Scheme, image *isa.Memory) *Core {
 	c := newCore(cfg, program, predictor, scheme, nil)
 	c.setOracle(image.CloneCOW())
@@ -495,13 +489,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.commitMem == nil {
-		c.commitMem = isa.NewMemory()
-	}
 	defer c.reportRetired()
-	// Per-cycle observers see every cycle individually, so event-driven
-	// skipping is enabled only on bare runs (the throughput path).
-	skippable := c.pipe == nil && c.cpi == nil && c.trace == nil
 	var lastRetired int64
 	var stuck int64
 	var iter int64
@@ -522,7 +510,7 @@ func (c *Core) RunContext(ctx context.Context, maxRetired int64) (Result, error)
 			halted = true
 			break
 		}
-		if skippable && !c.progress {
+		if !c.progress {
 			c.skipToNextEvent()
 		}
 		if c.retired == lastRetired {
@@ -558,9 +546,11 @@ func (c *Core) reportRetired() {
 // (idempotent) work every cycle until the next scheduled completion or the
 // fetch queue's head becomes ready. Jumping there directly is
 // cycle-accurate as long as the per-cycle stat increments a stalled cycle
-// performs — rename allocation-stall slots and gated body-wakeup counts —
-// are replayed once per skipped cycle. A quiescent cycle issued nothing,
-// so no limit cut its issue scan off and every gated body was charged.
+// performs — rename allocation-stall slots, gated body-wakeup counts and
+// the attached observers' samples — are replayed once per skipped cycle.
+// A quiescent cycle issued nothing, so no limit cut its issue scan off and
+// every gated body was charged; it emitted no trace event, so the trace
+// ring needs no replay.
 func (c *Core) skipToNextEvent() {
 	next, ok := c.nextEventCycle()
 	if !ok || next <= c.cycle+1 {
@@ -572,6 +562,12 @@ func (c *Core) skipToNextEvent() {
 	}
 	for _, ctx := range c.liveCtxs {
 		ctx.bodyStalls += skipped * int64(ctx.gated)
+	}
+	if c.pipe != nil {
+		c.pipe.sample(c.rob.occupancy(), c.cfg.ROBSize, c.iqLen, c.cfg.IQSize, skipped)
+	}
+	if c.cpi != nil {
+		c.cpiAccount(skipped)
 	}
 	c.cycle = next - 1
 }
@@ -668,10 +664,10 @@ func (c *Core) stepCycle() bool {
 	c.renameStage()
 	c.fetchStage()
 	if c.pipe != nil {
-		c.pipe.sample(c.rob.occupancy(), c.cfg.ROBSize, c.iqLen, c.cfg.IQSize)
+		c.pipe.sample(c.rob.occupancy(), c.cfg.ROBSize, c.iqLen, c.cfg.IQSize, 1)
 	}
 	if c.cpi != nil {
-		c.cpiAccount()
+		c.cpiAccount(1)
 	}
 	return halted
 }

@@ -8,8 +8,9 @@ import (
 // CPIStack attributes every simulated cycle to exactly one cause bucket,
 // reproducing the per-cause cycle accounting the paper's Sec. VI analysis
 // implies ("saved pipeline flushes net of added stalls"). Collection is
-// off by default (EnableCPIStack) — like PipeStats, the hot path pays
-// nothing when disabled.
+// off by default (EnableCPIStack) and costs nothing when off. When on, it
+// rides the run loop's quiescent-cycle skip: a skipped stretch is charged
+// to the stalled cycle's bucket once per skipped cycle (cpiAccount).
 //
 // Exactly one bucket is charged per cycle, so the bucket totals always sum
 // to the run's elapsed cycles (tested by internal/ooo's whitebox suite):
@@ -46,7 +47,7 @@ type CPIStack struct {
 	ACBBodyStall   int64
 	ACBDivergence  int64
 
-	// Per-cycle scratch, reset by account.
+	// Per-cycle scratch, reset by cpiAccount.
 	commits int
 
 	// Flush-repair window state (see noteFlush / noteCommit).
@@ -110,25 +111,29 @@ func (p *CPIStack) noteFlush(cause flushCause, seq int64) {
 	p.flushSeq = seq
 }
 
-// account classifies the cycle that just completed. Called once per
-// stepCycle, after the retire stage has drained this cycle's commits.
-func (c *Core) cpiAccount() {
+// cpiAccount classifies the cycle that just completed and charges its
+// bucket n times: once from stepCycle, after the retire stage has drained
+// this cycle's commits, and once per skipped cycle from skipToNextEvent.
+// The replay is exact because a quiescent cycle commits nothing, and
+// neither the ROB head, its context's closed/branchDone flags nor the
+// flush cause can change before the next event.
+func (c *Core) cpiAccount(n int64) {
 	p := c.cpi
-	p.Cycles++
+	p.Cycles += n
 	if p.commits > 0 {
 		p.commits = 0
-		p.Base++
+		p.Base += n
 		return
 	}
 	head := c.rob.head()
 	if head == nil {
 		switch p.flushCause {
 		case flushMispredict:
-			p.BadSpecFlush++
+			p.BadSpecFlush += n
 		case flushDivergence:
-			p.ACBDivergence++
+			p.ACBDivergence += n
 		default:
-			p.FrontendStarve++
+			p.FrontendStarve += n
 		}
 		return
 	}
@@ -139,17 +144,17 @@ func (c *Core) cpiAccount() {
 		switch head.role {
 		case RolePredBranch:
 			if !ctx.closed {
-				p.ACBBodyStall++
+				p.ACBBodyStall += n
 				return
 			}
 		case RoleBody:
 			if !ctx.branchDone {
-				p.ACBBodyStall++
+				p.ACBBodyStall += n
 				return
 			}
 		}
 	}
-	p.BackendStall++
+	p.BackendStall += n
 }
 
 // String renders the stack as per-bucket cycle counts and shares.

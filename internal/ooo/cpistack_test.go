@@ -132,14 +132,14 @@ func TestCPIAccountClassification(t *testing.T) {
 	// Commit cycle → base.
 	c := newCore()
 	c.cpi.commits = 2
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.Base != 1 || c.cpi.commits != 0 {
 		t.Fatalf("commit cycle: base=%d commits=%d", c.cpi.Base, c.cpi.commits)
 	}
 
 	// Empty ROB, no flush pending → frontend starve.
 	c = newCore()
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.FrontendStarve != 1 {
 		t.Fatalf("empty-ROB cycle: frontend=%d", c.cpi.FrontendStarve)
 	}
@@ -147,7 +147,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	// Empty ROB inside a mispredict-repair window → bad speculation.
 	c = newCore()
 	c.cpi.noteFlush(flushMispredict, 0)
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.BadSpecFlush != 1 {
 		t.Fatalf("mispredict-repair cycle: badspec=%d", c.cpi.BadSpecFlush)
 	}
@@ -155,7 +155,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	// Empty ROB inside a divergence-repair window → ACB divergence.
 	c = newCore()
 	c.cpi.noteFlush(flushDivergence, 0)
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.ACBDivergence != 1 {
 		t.Fatalf("divergence-repair cycle: acb-divergence=%d", c.cpi.ACBDivergence)
 	}
@@ -165,7 +165,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	e := c.rob.alloc()
 	e.role = RolePredBranch
 	e.ctx = &ctxState{}
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.ACBBodyStall != 1 {
 		t.Fatalf("open-context head cycle: acb-body=%d", c.cpi.ACBBodyStall)
 	}
@@ -175,7 +175,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	e = c.rob.alloc()
 	e.role = RoleBody
 	e.ctx = &ctxState{}
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.ACBBodyStall != 1 {
 		t.Fatalf("gated-body head cycle: acb-body=%d", c.cpi.ACBBodyStall)
 	}
@@ -185,7 +185,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	e = c.rob.alloc()
 	e.role = RolePredBranch
 	e.ctx = &ctxState{closed: true, branchDone: true}
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.BackendStall != 1 {
 		t.Fatalf("closed-context head cycle: backend=%d", c.cpi.BackendStall)
 	}
@@ -195,7 +195,7 @@ func TestCPIAccountClassification(t *testing.T) {
 	e = c.rob.alloc()
 	e.role = RolePredBranch
 	e.ctx = &ctxState{spec: PredSpec{Eager: true}}
-	c.cpiAccount()
+	c.cpiAccount(1)
 	if c.cpi.BackendStall != 1 || c.cpi.ACBBodyStall != 0 {
 		t.Fatalf("eager head cycle: backend=%d acb-body=%d", c.cpi.BackendStall, c.cpi.ACBBodyStall)
 	}

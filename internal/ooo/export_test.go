@@ -1,18 +1,12 @@
 package ooo
 
-import (
-	"fmt"
-
-	"acb/internal/isa"
-)
+import "fmt"
 
 // StepCycle advances the core by one cycle the way RunContext does, but
-// never skips quiescent cycles, so a test can inspect every cycle. It
+// never skips quiescent cycles, so a test can inspect every cycle. It is
+// the cycle-by-cycle reference the skip's replays are checked against. It
 // returns true when the program's Halt retired.
 func (c *Core) StepCycle() bool {
-	if c.commitMem == nil {
-		c.commitMem = isa.NewMemory()
-	}
 	c.cycle++
 	c.progress = false
 	c.stallSlotsThisCycle = 0

@@ -7,8 +7,10 @@ import (
 
 // PipeStats collects per-cycle pipeline utilization: how many slots each
 // stage filled, and occupancy histograms for the ROB and issue queue.
-// Collection is off by default (EnablePipeStats) — it adds a few counters
-// per cycle.
+// Collection is off by default (EnablePipeStats) and costs nothing when
+// off. When on, it adds a few counters per cycle and rides the run loop's
+// quiescent-cycle skip: a skipped stretch changes no occupancy and fills no
+// slot, so sample records its occupancy once per skipped cycle.
 type PipeStats struct {
 	cycles int64
 
@@ -39,11 +41,11 @@ func (c *Core) EnablePipeStats() {
 // PipeStats returns the collected utilization (nil unless enabled).
 func (c *Core) PipeStats() *PipeStats { return c.pipe }
 
-// sample records one cycle's occupancy.
-func (p *PipeStats) sample(robOcc, robCap, iqOcc, iqCap int) {
-	p.cycles++
-	p.robOcc[bucket(robOcc, robCap)]++
-	p.iqOcc[bucket(iqOcc, iqCap)]++
+// sample records the occupancy of n cycles that all hold it.
+func (p *PipeStats) sample(robOcc, robCap, iqOcc, iqCap int, n int64) {
+	p.cycles += n
+	p.robOcc[bucket(robOcc, robCap)] += n
+	p.iqOcc[bucket(iqOcc, iqCap)] += n
 	if robOcc > p.maxRob {
 		p.maxRob = robOcc
 	}

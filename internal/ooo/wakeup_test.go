@@ -251,8 +251,7 @@ func TestWakeupOnEachReason(t *testing.T) {
 	} {
 		t.Run(tc.episode, func(t *testing.T) {
 			p := wakeupProgram(400, false)
-			c := New(wakeupConfig(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), forwardHammocks(p, tc.spec))
-			c.commitMem = isa.NewMemory()
+			c := NewWithMemory(wakeupConfig(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), forwardHammocks(p, tc.spec), isa.NewMemory())
 			got := observeWakeups(t, c, 60_000)
 			t.Logf("parked entries issued at wakeup: %v", got)
 			if got[tc.episode] < 20 {
@@ -271,7 +270,7 @@ func TestSquashedParkedEntryNeverIssues(t *testing.T) {
 	add := isa.Instruction{Op: isa.Add, Rd: isa.R1, Rs1: isa.R2, Rs2: isa.R3}
 	br := isa.Instruction{Op: isa.Br, Cond: isa.EQZ, Rs1: isa.R4, Target: 0}
 	p := []isa.Instruction{add, {Op: isa.Halt}}
-	c := New(config.Skylake(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil)
+	c := NewWithMemory(config.Skylake(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), nil, isa.NewMemory())
 	ctx := &ctxState{spec: PredSpec{MaxBody: 8}, branchSeq: -1}
 	c.liveCtxs = append(c.liveCtxs, ctx)
 
@@ -359,8 +358,7 @@ func TestGatedChargeMatchesFullScan(t *testing.T) {
 	cfg.IssueWidth = 2
 	const maxLoads, maxStores = 2, 1 // issueStage's port limits at width 2
 	p := wakeupProgram(300, false)
-	c := New(cfg, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), forwardHammocks(p, PredSpec{MaxBody: 16}))
-	c.commitMem = isa.NewMemory()
+	c := NewWithMemory(cfg, p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), forwardHammocks(p, PredSpec{MaxBody: 16}), isa.NewMemory())
 
 	cutCycles := 0
 	before := map[*ctxState]int64{}
@@ -440,21 +438,27 @@ func (r *stallRecorder) OnBranchResolve(ev ResolveEvent) {
 
 // TestSkipReplaysGatedCharges: the quiescent-cycle skip replays each
 // context's gated-body count once per skipped cycle, so every predicated
-// instance reports the same BodyStallCycles as a run that steps every
-// cycle (PipeStats disables skipping).
+// instance reports the same BodyStallCycles as a StepCycle loop, which
+// steps every cycle.
 func TestSkipReplaysGatedCharges(t *testing.T) {
 	p := wakeupProgram(400, true)
-	run := func(observe bool) ([]int64, Result) {
+	run := func(step bool) ([]int64, Result) {
 		rec := &stallRecorder{everyBranchScheme: forwardHammocks(p, PredSpec{MaxBody: 16})}
-		c := New(wakeupConfig(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), rec)
-		if observe {
-			c.EnablePipeStats()
+		c := NewWithMemory(wakeupConfig(), p, bpu.NewTAGE(bpu.DefaultTAGEConfig()), rec, isa.NewMemory())
+		if !step {
+			res, err := c.Run(1_000_000)
+			if err != nil || !res.Halted {
+				t.Fatalf("run: halted=%v err=%v", res.Halted, err)
+			}
+			return rec.stalls, res
 		}
-		res, err := c.Run(1_000_000)
-		if err != nil || !res.Halted {
-			t.Fatalf("run: halted=%v err=%v", res.Halted, err)
+		for i := 0; i < 1_000_000; i++ {
+			if c.StepCycle() {
+				return rec.stalls, c.StepResult(true)
+			}
 		}
-		return rec.stalls, res
+		t.Fatalf("stepped run did not halt within 1000000 cycles")
+		return nil, Result{}
 	}
 	skipped, res := run(false)
 	stepped, _ := run(true)

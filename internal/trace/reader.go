@@ -18,103 +18,18 @@ type memWord struct {
 	addr, val int64
 }
 
-// Reader streams a trace file: NewReader consumes the preamble, meta block
-// and every section block up to the first branch record; Read then yields
-// records one at a time until io.EOF, which is returned only after a valid
-// end block and a clean underlying EOF. Any truncation, framing error, CRC
-// mismatch or implausible count is an error — Reader never panics on
-// hostile input and never allocates more than the input's actual size plus
-// a fixed overhead.
-type Reader struct {
+// decoder holds the state that validating a trace's blocks needs: the
+// input, the embedded program that branch records are checked against,
+// and the running branch-record delta base and count.
+type decoder struct {
 	r      *bufio.Reader
-	hdr    Header
 	prog   []isa.Instruction
-	mem    []memWord
-	merges map[int]int
-
-	pending []Branch // decoded records of the current branch block
-	next    int      // cursor into pending
-	prevPC  int
-	total   int64 // records decoded so far
-
-	done   bool
-	steps  int64
-	halted bool
-}
-
-// NewReader parses the preamble and all section blocks.
-func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReader(r)}
-	pre := make([]byte, 6)
-	if _, err := io.ReadFull(tr.r, pre); err != nil {
-		return nil, fmt.Errorf("trace: read preamble: %w", err)
-	}
-	if [4]byte(pre[:4]) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", pre[:4])
-	}
-	if v := binary.LittleEndian.Uint16(pre[4:]); v != traceVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d (have %d)", v, traceVersion)
-	}
-	typ, payload, err := tr.readBlock()
-	if err != nil {
-		return nil, err
-	}
-	if typ != blockMeta {
-		return nil, fmt.Errorf("trace: first block type %d, want meta", typ)
-	}
-	if tr.hdr, err = decodeMeta(payload); err != nil {
-		return nil, err
-	}
-	// Consume section blocks until the first branch block or the end block.
-	for {
-		typ, payload, err := tr.readBlock()
-		if err != nil {
-			return nil, err
-		}
-		switch typ {
-		case blockProg:
-			if tr.prog != nil {
-				return nil, fmt.Errorf("trace: duplicate program block")
-			}
-			br := bytes.NewReader(payload)
-			if tr.prog, err = isa.DecodeProgram(br); err != nil {
-				return nil, err
-			}
-			if br.Len() != 0 {
-				return nil, fmt.Errorf("trace: %d trailing bytes in program block", br.Len())
-			}
-		case blockMemory:
-			if tr.mem != nil {
-				return nil, fmt.Errorf("trace: duplicate memory block")
-			}
-			if tr.mem, err = decodeMemory(payload); err != nil {
-				return nil, err
-			}
-		case blockMerge:
-			if tr.merges != nil {
-				return nil, fmt.Errorf("trace: duplicate merge-point block")
-			}
-			if tr.merges, err = decodeMerges(payload, tr.prog); err != nil {
-				return nil, err
-			}
-		case blockBranch:
-			if err := tr.decodePending(payload); err != nil {
-				return nil, err
-			}
-			return tr, nil
-		case blockEnd:
-			if err := tr.finish(payload); err != nil {
-				return nil, err
-			}
-			return tr, nil
-		default:
-			return nil, fmt.Errorf("trace: unknown block type %d", typ)
-		}
-	}
+	prevPC int
+	total  int64
 }
 
 // readBlock reads one CRC-framed block.
-func (tr *Reader) readBlock() (byte, []byte, error) {
+func (tr *decoder) readBlock() (byte, []byte, error) {
 	typ, err := tr.r.ReadByte()
 	if err != nil {
 		return 0, nil, fmt.Errorf("trace: read block type: %w", err)
@@ -208,14 +123,6 @@ func decodeMerges(payload []byte, p []isa.Instruction) (map[int]int, error) {
 	return mp, nil
 }
 
-// decodePending decodes one branch block into the pending buffer Read
-// drains.
-func (tr *Reader) decodePending(payload []byte) (err error) {
-	tr.next = 0
-	tr.pending, err = tr.decodeBranches(tr.pending[:0], payload)
-	return err
-}
-
 // branchCount returns the record count a branch block declares and a
 // cursor positioned at its first record.
 func branchCount(payload []byte) (*payloadCursor, int, error) {
@@ -233,7 +140,7 @@ func branchCount(payload []byte) (*payloadCursor, int, error) {
 
 // decodeBranches appends the records of one branch block to dst, growing
 // it at most once.
-func (tr *Reader) decodeBranches(dst []Branch, payload []byte) ([]Branch, error) {
+func (tr *decoder) decodeBranches(dst []Branch, payload []byte) ([]Branch, error) {
 	c, n, err := branchCount(payload)
 	if err != nil {
 		return dst, err
@@ -273,7 +180,9 @@ func (tr *Reader) decodeBranches(dst []Branch, payload []byte) ([]Branch, error)
 	return dst, c.done()
 }
 
-func (tr *Reader) finish(payload []byte) error {
+// finish checks the end block against the records decoded and the clean
+// end of the input, and stores the run's totals in t.
+func (tr *decoder) finish(payload []byte, t *Trace) error {
 	c := &payloadCursor{buf: payload}
 	n, err := c.uvarint()
 	if err != nil {
@@ -299,58 +208,9 @@ func (tr *Reader) finish(payload []byte) error {
 	if _, err := tr.r.ReadByte(); err != io.EOF {
 		return fmt.Errorf("trace: trailing data after end block")
 	}
-	tr.done = true
-	tr.steps = int64(steps)
-	tr.halted = hb == 1
+	t.Steps = int64(steps)
+	t.Halted = hb == 1
 	return nil
-}
-
-// Read returns the next branch record, or io.EOF after the end block.
-func (tr *Reader) Read() (Branch, error) {
-	for tr.next >= len(tr.pending) {
-		if tr.done {
-			return Branch{}, io.EOF
-		}
-		typ, payload, err := tr.readBlock()
-		if err != nil {
-			return Branch{}, err
-		}
-		switch typ {
-		case blockBranch:
-			if err := tr.decodePending(payload); err != nil {
-				return Branch{}, err
-			}
-		case blockEnd:
-			if err := tr.finish(payload); err != nil {
-				return Branch{}, err
-			}
-		default:
-			return Branch{}, fmt.Errorf("trace: block type %d after branch records", typ)
-		}
-	}
-	b := tr.pending[tr.next]
-	tr.next++
-	return b, nil
-}
-
-// Header returns the trace identity block.
-func (tr *Reader) Header() Header { return tr.hdr }
-
-// Program returns the embedded instruction stream (nil when absent).
-func (tr *Reader) Program() []isa.Instruction { return tr.prog }
-
-// MergePoints returns the embedded reconvergence table (nil when absent).
-func (tr *Reader) MergePoints() map[int]int { return tr.merges }
-
-// Memory materializes a fresh copy of the embedded initial memory image.
-// Each call returns an independent Memory, so concurrent replays can
-// mutate their images freely.
-func (tr *Reader) Memory() *isa.Memory { return buildMemory(tr.mem) }
-
-// Summary returns the end-block totals; valid only after Read has returned
-// io.EOF (ok reports whether the end block was reached).
-func (tr *Reader) Summary() (records, steps int64, halted, ok bool) {
-	return tr.total, tr.steps, tr.halted, tr.done
 }
 
 func buildMemory(words []memWord) *isa.Memory {
@@ -376,55 +236,96 @@ type Trace struct {
 // Memory materializes a fresh copy of the initial memory image.
 func (t *Trace) Memory() *isa.Memory { return buildMemory(t.mem) }
 
-// Decode reads and validates an entire trace file. Branches is sized
-// exactly: the branch blocks after the first are read raw, their declared
-// record counts summed, and then decoded into one allocation.
+// Decode reads and validates an entire trace file: the preamble, the meta
+// block, the section blocks, the branch blocks and the end block, followed
+// by a clean EOF. Any truncation, framing error, CRC mismatch or
+// implausible count is an error; Decode never panics on hostile input and
+// never allocates more than the input's actual size plus a fixed overhead.
+// Branches is sized exactly: the branch blocks are read raw, their
+// declared record counts summed, and then decoded into one allocation.
 func Decode(r io.Reader) (*Trace, error) {
-	tr, err := NewReader(r)
+	tr := &decoder{r: bufio.NewReader(r)}
+	pre := make([]byte, 6)
+	if _, err := io.ReadFull(tr.r, pre); err != nil {
+		return nil, fmt.Errorf("trace: read preamble: %w", err)
+	}
+	if [4]byte(pre[:4]) != traceMagic {
+		return nil, fmt.Errorf("trace: bad magic %q", pre[:4])
+	}
+	if v := binary.LittleEndian.Uint16(pre[4:]); v != traceVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d (have %d)", v, traceVersion)
+	}
+	typ, payload, err := tr.readBlock()
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{
-		Header: tr.Header(),
-		Prog:   tr.Program(),
-		Merges: tr.MergePoints(),
-		mem:    tr.mem,
+	if typ != blockMeta {
+		return nil, fmt.Errorf("trace: first block type %d, want meta", typ)
 	}
-	if !tr.done {
-		n := len(tr.pending)
-		var blocks [][]byte
-		var end []byte
-		for ended := false; !ended; {
-			typ, payload, err := tr.readBlock()
+	t := &Trace{}
+	if t.Header, err = decodeMeta(payload); err != nil {
+		return nil, err
+	}
+	// Section blocks come first, then branch blocks, then the end block.
+	var blocks [][]byte
+	n := 0
+	for {
+		typ, payload, err := tr.readBlock()
+		if err != nil {
+			return nil, err
+		}
+		if len(blocks) > 0 && typ != blockBranch && typ != blockEnd {
+			return nil, fmt.Errorf("trace: block type %d after branch records", typ)
+		}
+		switch typ {
+		case blockProg:
+			if t.Prog != nil {
+				return nil, fmt.Errorf("trace: duplicate program block")
+			}
+			br := bytes.NewReader(payload)
+			if t.Prog, err = isa.DecodeProgram(br); err != nil {
+				return nil, err
+			}
+			if br.Len() != 0 {
+				return nil, fmt.Errorf("trace: %d trailing bytes in program block", br.Len())
+			}
+			tr.prog = t.Prog
+		case blockMemory:
+			if t.mem != nil {
+				return nil, fmt.Errorf("trace: duplicate memory block")
+			}
+			if t.mem, err = decodeMemory(payload); err != nil {
+				return nil, err
+			}
+		case blockMerge:
+			if t.Merges != nil {
+				return nil, fmt.Errorf("trace: duplicate merge-point block")
+			}
+			if t.Merges, err = decodeMerges(payload, t.Prog); err != nil {
+				return nil, err
+			}
+		case blockBranch:
+			_, k, err := branchCount(payload)
 			if err != nil {
 				return nil, err
 			}
-			switch typ {
-			case blockBranch:
-				_, k, err := branchCount(payload)
-				if err != nil {
+			n += k
+			blocks = append(blocks, payload)
+		case blockEnd:
+			t.Branches = slices.Grow(t.Branches, n)
+			for _, p := range blocks {
+				if t.Branches, err = tr.decodeBranches(t.Branches, p); err != nil {
 					return nil, err
 				}
-				n += k
-				blocks = append(blocks, payload)
-			case blockEnd:
-				end, ended = payload, true
-			default:
-				return nil, fmt.Errorf("trace: block type %d after branch records", typ)
 			}
-		}
-		t.Branches = append(make([]Branch, 0, n), tr.pending...)
-		for _, p := range blocks {
-			if t.Branches, err = tr.decodeBranches(t.Branches, p); err != nil {
+			if err := tr.finish(payload, t); err != nil {
 				return nil, err
 			}
-		}
-		if err := tr.finish(end); err != nil {
-			return nil, err
+			return t, nil
+		default:
+			return nil, fmt.Errorf("trace: unknown block type %d", typ)
 		}
 	}
-	_, t.Steps, t.Halted, _ = tr.Summary()
-	return t, nil
 }
 
 // DecodeFile decodes the trace at path.

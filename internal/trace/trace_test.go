@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -135,40 +134,31 @@ func TestDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestStreamingReader: the incremental Reader sees exactly what Decode
-// sees, across block boundaries (iters > branchBlockRecords/2 forces
-// multiple branch blocks).
-func TestStreamingReader(t *testing.T) {
-	data, _, _ := recordBytes(t, branchBlockRecords+57, 5)
-	want, err := Decode(bytes.NewReader(data))
+// TestMultiBlockDecode: a trace longer than one branch block decodes to
+// the branch stream its recording run produced, with that run's step count
+// and halt flag, across the block boundaries.
+func TestMultiBlockDecode(t *testing.T) {
+	data, insts, mem := recordBytes(t, branchBlockRecords+57, 5)
+	var want []Branch
+	steps, halted := isa.NewArchState(mem.Clone()).RunFeed(insts, 1<<20, func(pc int, taken bool) {
+		b := Branch{PC: pc, Taken: taken, Target: pc + 1}
+		if taken {
+			b.Target = insts[pc].Target
+		}
+		want = append(want, b)
+	}, nil)
+	if len(want) <= 2*branchBlockRecords {
+		t.Fatalf("test needs >2 branch blocks, got %d records", len(want))
+	}
+	tr, err := Decode(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if int64(len(want.Branches)) <= branchBlockRecords {
-		t.Fatalf("test needs >1 branch block, got %d records", len(want.Branches))
+	if !reflect.DeepEqual(tr.Branches, want) {
+		t.Fatalf("decoded %d records, recording run produced %d (or they differ)", len(tr.Branches), len(want))
 	}
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	var got []Branch
-	for {
-		b, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Read after %d records: %v", len(got), err)
-		}
-		got = append(got, b)
-	}
-	if !reflect.DeepEqual(got, want.Branches) {
-		t.Fatalf("streamed records differ from Decode")
-	}
-	recs, steps, halted, ok := r.Summary()
-	if !ok || recs != int64(len(want.Branches)) || steps != want.Steps || halted != want.Halted {
-		t.Fatalf("Summary() = (%d,%d,%v,%v), want (%d,%d,%v,true)",
-			recs, steps, halted, ok, len(want.Branches), want.Steps, want.Halted)
+	if tr.Steps != steps || tr.Halted != halted {
+		t.Fatalf("Decode: steps=%d halted=%v, recording run: steps=%d halted=%v", tr.Steps, tr.Halted, steps, halted)
 	}
 }
 
